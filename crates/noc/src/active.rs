@@ -51,6 +51,19 @@ impl ActiveSet {
         *word &= !bit;
     }
 
+    /// Whether `index` is active.
+    #[inline]
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.words[index / 64] & (1u64 << (index % 64)) != 0
+    }
+
+    /// Marks every index inactive.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.count = 0;
+    }
+
     /// Whether no index is active.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
@@ -113,11 +126,26 @@ mod tests {
         s.insert(7);
         s.insert(199);
         assert!(!s.is_empty());
+        assert!(s.contains(7) && s.contains(199) && !s.contains(8));
         s.remove(7);
         s.remove(7);
         assert!(!s.is_empty());
         s.remove(199);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_the_set() {
+        let mut s = ActiveSet::new(200);
+        for i in [0usize, 64, 199] {
+            s.insert(i);
+        }
+        s.clear();
+        assert!(s.is_empty() && !s.contains(64));
+        assert_eq!(s.len(), 0);
+        let mut out = Vec::new();
+        s.snapshot_into(&mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,6 +1,3 @@
-use crate::packet::Packet;
-use crate::topology::NodeId;
-
 /// Flit width in bits (Table I: "NoC flit size 72-bit").
 pub const FLIT_SIZE_BITS: u32 = 72;
 
@@ -40,105 +37,93 @@ impl FlitKind {
 
 /// A flow-control unit travelling through the network.
 ///
-/// Head flits carry the full decoded [`Packet`] so that the routing
-/// computation (and the Trojan sitting in front of it, Fig. 2b) can inspect
-/// source, destination, type and payload without reassembling the frame.
+/// Deliberately compact (16 bytes): switch traversal copies flits between
+/// buffer rings and link slots on every grant. The packet frame, its
+/// destination and its injection cycle live once per packet in the owning
+/// network's [`crate::PacketStore`] slot, which routing computation and the
+/// inspector (the Trojan attachment point, Fig. 2b) read and rewrite when the
+/// head flit reaches a router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Position within the packet.
     pub kind: FlitKind,
+    /// Index of the packet's slot in the owning network's packet store.
+    pub slot: u32,
     /// Unique id of the packet this flit belongs to (simulator-assigned).
     pub packet_id: u64,
-    /// Destination node, replicated in every flit for assertions.
-    pub dst: NodeId,
-    /// The full packet frame; present in head flits only.
-    pub packet: Option<Packet>,
-    /// Cycle at which the packet was injected (head flit only, for latency
-    /// accounting).
-    pub injected_at: u64,
-    /// Index of the packet's bookkeeping slot in the owning network's
-    /// packet store. [`Flit::NO_SLOT`] for flits created outside a network
-    /// (unit tests, reference models) — such flits carry all their metadata
-    /// inline and never touch a store.
-    pub slot: u32,
 }
 
 impl Flit {
-    /// Sentinel [`Flit::slot`] for flits not backed by a packet store.
-    pub const NO_SLOT: u32 = u32::MAX;
-
-    /// Builds the `i`-th of the `n` wire flits of a packet, without
-    /// allocating. `i == 0` carries the header (and the packet frame);
-    /// `i == n - 1` terminates the wormhole; `n == 1` yields the combined
-    /// `HeadTail` flit of a meta packet.
-    #[must_use]
-    pub fn nth(packet: Packet, packet_id: u64, now: u64, i: usize, n: usize) -> Flit {
-        let kind = if n == 1 {
-            FlitKind::HeadTail
-        } else if i == 0 {
-            FlitKind::Head
-        } else if i == n - 1 {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        };
-        Flit {
-            kind,
-            packet_id,
-            dst: packet.dst(),
-            packet: kind.is_head().then_some(packet),
-            injected_at: now,
-            slot: Flit::NO_SLOT,
-        }
-    }
-
-    /// Splits a packet into its wire flits.
+    /// The `n` wire flits of one packet, head first, without allocating.
     ///
     /// Meta packets (power requests/grants, config commands, coherence
-    /// messages) become a single `HeadTail` flit; data packets become a
-    /// `Head`, three `Body` and one `Tail` flit (Table I).
-    #[must_use]
-    pub fn packetize(packet: Packet, packet_id: u64, now: u64) -> Vec<Flit> {
-        let n = packet.flit_count();
-        (0..n)
-            .map(|i| Flit::nth(packet, packet_id, now, i, n))
-            .collect()
+    /// messages) are a single `HeadTail` flit; data packets are a `Head`,
+    /// three `Body` and one `Tail` flit (Table I).
+    pub fn train(packet_id: u64, slot: u32, n: usize) -> impl Iterator<Item = Flit> {
+        (0..n).map(move |i| {
+            let kind = if n == 1 {
+                FlitKind::HeadTail
+            } else if i == 0 {
+                FlitKind::Head
+            } else if i == n - 1 {
+                FlitKind::Tail
+            } else {
+                FlitKind::Body
+            };
+            Flit {
+                kind,
+                slot,
+                packet_id,
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketKind;
+    use crate::packet::{Packet, PacketKind};
+    use crate::topology::NodeId;
 
     #[test]
     fn meta_packet_is_one_headtail_flit() {
         let p = Packet::power_request(NodeId(1), NodeId(2), 7);
-        let flits = Flit::packetize(p, 9, 100);
-        assert_eq!(flits.len(), 1);
+        let flits: Vec<Flit> = Flit::train(9, 3, p.flit_count()).collect();
+        assert_eq!(flits.len(), FLITS_PER_META_PACKET);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head() && flits[0].kind.is_tail());
-        assert_eq!(flits[0].packet, Some(p));
-        assert_eq!(flits[0].injected_at, 100);
     }
 
     #[test]
     fn data_packet_is_five_flits() {
         let p = Packet::new(NodeId(1), NodeId(2), PacketKind::Data, 0);
-        let flits = Flit::packetize(p, 1, 0);
+        let flits: Vec<Flit> = Flit::train(1, 0, p.flit_count()).collect();
         assert_eq!(flits.len(), FLITS_PER_DATA_PACKET);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert!(flits[1..4].iter().all(|f| f.kind == FlitKind::Body));
         assert_eq!(flits[4].kind, FlitKind::Tail);
-        assert!(flits[0].packet.is_some());
-        assert!(flits[1..].iter().all(|f| f.packet.is_none()));
     }
 
     #[test]
-    fn all_flits_share_packet_id_and_dst() {
-        let p = Packet::new(NodeId(3), NodeId(9), PacketKind::Data, 0);
-        let flits = Flit::packetize(p, 77, 0);
-        assert!(flits.iter().all(|f| f.packet_id == 77));
-        assert!(flits.iter().all(|f| f.dst == NodeId(9)));
+    fn all_flits_share_packet_id_and_slot() {
+        let flits: Vec<Flit> = Flit::train(77, 5, FLITS_PER_DATA_PACKET).collect();
+        assert!(flits.iter().all(|f| f.packet_id == 77 && f.slot == 5));
+    }
+
+    /// Layout lock: switch traversal copies a flit per grant through the
+    /// buffer rings and link slots, so a field that re-bloats them must
+    /// fail here rather than quietly slow every campaign.
+    #[test]
+    fn flit_and_hot_slots_stay_compact() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Flit>() <= 16,
+            "Flit is {} bytes",
+            size_of::<Flit>()
+        );
+        // A buffer-ring entry: the flit plus its arrival stamp.
+        assert!(size_of::<(Flit, u64)>() <= 24);
+        // A link slot: the flit plus its downstream VC.
+        assert!(size_of::<Option<(Flit, usize)>>() <= 24);
     }
 }

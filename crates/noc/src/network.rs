@@ -92,7 +92,9 @@ pub struct DeliveredPacket {
 /// *routing computation & inspection*, so a head flit arriving in cycle *t*
 /// is routed in *t*, allocated in *t + 1*, traverses the crossbar in *t + 2*
 /// and lands in the next router's buffer in *t + 3*. Flits stamped into a
-/// buffer in cycle *t* are not switch-eligible until *t + 1*.
+/// buffer in cycle *t* are not switch-eligible until *t + 1*. VC allocation
+/// and routing computation touch only their own router's state, so they
+/// share one pass over the routers (VA then RC at each router).
 ///
 /// The inspector hook (the Trojan attachment point, Fig. 2b) runs once per
 /// packet per router, immediately before routing computation.
@@ -112,6 +114,19 @@ pub struct DeliveredPacket {
 /// * `links_occupied` = set of link indices with `links[i].is_some()`;
 /// * `inject_busy` = set of nodes with a non-empty injection queue, and
 ///   `queued_flits` = total flits across all injection queues.
+///
+/// # Compact flits and the switch fast path
+///
+/// [`Network::inject`] moves the packet frame into a [`PacketStore`] slot;
+/// the flits that buffers and links carry are only `{kind, slot,
+/// packet_id}`. Routing reads the destination from the slot, the inspector
+/// and the fault hook rewrite the frame there, and the tail's ejection
+/// takes it back out. Switch traversal holds one `&mut Router` per router,
+/// tests each output port's switch-request mask before its link (whose
+/// occupancy is a bit in `links_occupied`), and masks out the router's
+/// `fresh` slots — fronts delivered by a link this cycle — instead of
+/// reading arrival stamps. With faults engaged, each port keeps the
+/// historical check order so the hook sees the same call sequence.
 pub struct Network<I: PacketInspector = NullInspector> {
     mesh: Mesh2d,
     routing: Box<dyn RoutingAlgorithm>,
@@ -123,9 +138,9 @@ pub struct Network<I: PacketInspector = NullInspector> {
     /// Local input VC currently receiving an in-progress injected packet.
     injection_vc: Vec<Option<usize>>,
     injection_capacity: usize,
-    /// Slab of per-packet bookkeeping (injection cycle, hops, tamper flag,
-    /// parked head frames). Flits carry their slot index, so hot-path
-    /// metadata touches are one array access, not a hash probe.
+    /// Slab of in-flight packets: frame, injection cycle, hops, tamper flag.
+    /// Flits carry only their slot index, so hot-path metadata touches are
+    /// one array access and the flits switch traversal copies stay small.
     store: PacketStore,
     ejected: Vec<DeliveredPacket>,
     inspector: I,
@@ -156,8 +171,14 @@ pub struct Network<I: PacketInspector = NullInspector> {
     neighbor_tbl: Vec<Option<NodeId>>,
     /// Reusable snapshot buffer for per-stage worklist iteration.
     scratch: Vec<u32>,
-    /// Reusable buffer for deferred credit returns in switch traversal.
-    credit_scratch: Vec<(NodeId, Direction, usize, bool)>,
+    /// Reusable buffer for deferred credit returns in switch traversal:
+    /// `(upstream router, index into its out_credits)`.
+    credit_scratch: Vec<(u32, u32)>,
+    /// `slot_ports[s]` for input-VC slot `s = port * vcs + vc`: the input
+    /// port, and the index of the upstream router's output credit counter
+    /// the slot returns credits to (`opposite(port) * vcs + vc`). Spares the
+    /// hot loops a runtime division by `vcs`.
+    slot_ports: Vec<(u8, u8)>,
     /// Test-only seeded bug ([`Network::set_rr_skew`]): advance the switch
     /// round-robin pointer by 2 instead of 1 after each grant.
     rr_skew: bool,
@@ -203,6 +224,15 @@ impl<I: PacketInspector> Network<I> {
             neighbor_tbl: config.mesh.neighbor_table(),
             scratch: Vec::new(),
             credit_scratch: Vec::new(),
+            slot_ports: (0..5 * config.router.vcs)
+                .map(|s| {
+                    let (port, vc) = (s / config.router.vcs, s % config.router.vcs);
+                    // The local port has no upstream router; its entry is
+                    // never read.
+                    let up_out = Direction::OPPOSITE_INDEX.get(port).copied().unwrap_or(0);
+                    (port as u8, (up_out * config.router.vcs + vc) as u8)
+                })
+                .collect(),
             rr_skew: false,
         }
     }
@@ -326,13 +356,9 @@ impl<I: PacketInspector> Network<I> {
         }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        let slot = self.store.alloc(id, self.cycle);
+        let slot = self.store.alloc(id, self.cycle, packet);
         let n = packet.flit_count();
-        for i in 0..n {
-            let mut flit = Flit::nth(packet, id, self.cycle, i, n);
-            flit.slot = slot;
-            queue.push_back(flit);
-        }
+        queue.extend(Flit::train(id, slot, n));
         self.queued_flits += n;
         self.inject_busy.insert(packet.src().0 as usize);
         if let Some(trace) = self.trace.as_mut() {
@@ -408,8 +434,7 @@ impl<I: PacketInspector> Network<I> {
         self.stage_link_delivery();
         self.stage_switch_traversal(faults_engaged);
         self.stage_injection();
-        self.stage_vc_allocation();
-        self.stage_routing_and_inspection(faults_engaged);
+        self.stage_allocation_and_routing(faults_engaged);
         self.cycle += 1;
         #[cfg(debug_assertions)]
         self.debug_check_invariants();
@@ -488,6 +513,7 @@ impl<I: PacketInspector> Network<I> {
         // unrouted masks must agree with a rebuild from the VC state.
         for r in &self.routers {
             r.debug_masks_consistent();
+            assert!(r.debug_no_fresh(), "fresh mask outlived its cycle");
         }
         // Worklist consistency: the active set is exactly the routers
         // holding flits, and the link set exactly the occupied slots.
@@ -542,9 +568,6 @@ impl<I: PacketInspector> Network<I> {
         self.is_idle()
     }
 
-    fn link_index(&self, node: NodeId, dir: Direction) -> usize {
-        node.0 as usize * 4 + dir.index()
-    }
     // end of the step_n/run_until_idle driver region; the per-stage region
     // below re-opens because debug audits between them allocate freely.
     // htpb-lint: end-hot
@@ -561,98 +584,127 @@ impl<I: PacketInspector> Network<I> {
     /// the router stays in the active set) and take links down (the output
     /// port behaves as if the link were busy).
     fn stage_switch_traversal(&mut self, faults_engaged: bool) {
-        // Deferred credit returns: (upstream node, upstream out dir, vc, free_vc).
-        let mut credit_returns = std::mem::take(&mut self.credit_scratch);
+        // One borrow per field, so the loop below holds a single
+        // `&mut Router` per router alongside the store, links and tallies.
+        let Network {
+            routers,
+            links,
+            store,
+            ejected,
+            faults,
+            metrics,
+            stats,
+            trace,
+            cycle,
+            active,
+            links_occupied,
+            neighbor_tbl,
+            scratch,
+            credit_scratch,
+            slot_ports,
+            rr_skew,
+            ..
+        } = self;
+        let now = *cycle;
+        let bump = 1 + usize::from(*rr_skew);
+        let local = Direction::Local.index();
+        let mut credit_returns = std::mem::take(credit_scratch);
         credit_returns.clear();
         // Within this stage routers only *lose* flits (pushes happen in link
         // delivery and injection), so a stage-entry snapshot of the active
         // set visits exactly the routers the dense scan's `buffered > 0`
         // filter would have, in the same ascending order.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.active.snapshot_into(&mut worklist);
+        let mut worklist = std::mem::take(scratch);
+        active.snapshot_into(&mut worklist);
         for &ri in &worklist {
             let ri = ri as usize;
             let node = NodeId(ri as u16);
+            let r = &mut routers[ri];
+            // Consumed first, so a stalled router's mask is cleared too.
+            let fresh = r.take_fresh();
             // A stalled router forwards (and sinks) nothing this cycle. Its
             // flits stay buffered, so it is still a legitimate active-set
             // member and the end-of-loop removal below is correctly skipped.
             if faults_engaged {
-                if let Some(hook) = self.faults.as_mut() {
-                    if hook.router_stalled(node, self.cycle) {
-                        if let Some(m) = self.metrics.as_deref_mut() {
+                if let Some(hook) = faults.as_deref_mut() {
+                    if hook.router_stalled(node, now) {
+                        if let Some(m) = metrics.as_deref_mut() {
                             m.on_router_stalled();
                         }
                         continue;
                     }
                 }
             }
+            let vcs = r.config().vcs;
+            let slots = 5 * vcs;
             // Sink stage for dropped packets — gated on the O(1) dropping
             // counter; routers with nothing to sink skip the 5 × VCs scan.
             // Ascending slot order == the historical (port, vc) nesting.
-            let vcs = self.routers[ri].config().vcs;
-            let slots = 5 * vcs;
-            if self.routers[ri].has_dropping() {
+            if r.has_dropping() {
                 for slot in 0..slots {
-                    if !self.routers[ri].vc_state[slot].dropping {
+                    if !r.vc_state[slot].dropping {
                         continue;
                     }
-                    let Some(flit) = self.routers[ri].pop_flit(slot) else {
+                    let Some(flit) = r.pop_flit(slot) else {
                         continue;
                     };
-                    let (in_port, vc) = (slot / vcs, slot % vcs);
-                    if let Some(up_out) = Direction::ALL[in_port].opposite() {
-                        if let Some(up) = self.neighbor_tbl[ri * 4 + in_port] {
-                            credit_returns.push((up, up_out, vc, flit.kind.is_tail()));
-                        }
-                    }
+                    credit_return(&mut credit_returns, neighbor_tbl, slot_ports, ri, slot);
                     if flit.kind.is_tail() {
-                        self.store.free(flit.slot);
-                        self.stats.on_packet_dropped();
+                        store.free(flit.slot);
+                        stats.on_packet_dropped();
                     }
                 }
             }
-            for out_dir in Direction::ALL {
-                let od = out_dir.index();
-                // Output link must be free this cycle (one flit per cycle).
-                if out_dir != Direction::Local
-                    && self.links[self.link_index(node, out_dir)].is_some()
-                {
+            for od in 0..5 {
+                let req = r.switch_requests(od);
+                // With no requester the port has nothing to do — unless
+                // faults are engaged, where the link-down hook must still
+                // see the historical per-port call sequence.
+                if req == 0 && !faults_engaged {
                     continue;
                 }
-                // A downed link is indistinguishable from a busy one: the
-                // port simply skips arbitration this cycle.
-                if faults_engaged && out_dir != Direction::Local {
-                    if let Some(hook) = self.faults.as_mut() {
-                        if hook.link_down(node, out_dir, self.cycle) {
-                            continue;
+                let li = ri * 4 + od;
+                if od != local {
+                    // Output link must be free this cycle (one flit per
+                    // cycle).
+                    if links_occupied.contains(li) {
+                        continue;
+                    }
+                    // A downed link is indistinguishable from a busy one:
+                    // the port simply skips arbitration this cycle.
+                    if faults_engaged {
+                        if let Some(hook) = faults.as_deref_mut() {
+                            if hook.link_down(node, Direction::ALL[od], now) {
+                                continue;
+                            }
                         }
                     }
                 }
-                // Round-robin over the slots *requesting this output* only:
-                // slots >= start ascending, then the wrap-around below
-                // start — the same visit order as the dense
-                // `(start + off) % slots` scan, minus the slots it could
-                // never have granted (empty, or routed elsewhere).
-                let req = self.routers[ri].switch_requests(od);
-                if req == 0 {
+                #[cfg(debug_assertions)]
+                r.debug_fresh_consistent(req, fresh, now);
+                // A flit spends at least one full cycle buffered before it
+                // may traverse the switch (two-cycle router floor): slots
+                // whose front a link delivered this cycle are not eligible.
+                let eligible = req & !fresh;
+                if eligible == 0 {
                     continue;
                 }
-                let start = self.routers[ri].sa_rr[od];
-                let low_mask = (1u64 << start) - 1;
+                // Round-robin over the eligible requesters only: slots >=
+                // start ascending, then the wrap-around below start — the
+                // same visit order as the dense `(start + off) % slots`
+                // scan, minus the slots it could never have granted.
+                // Rotating the mask right by `start` yields exactly that
+                // order, since bits at and above `slots` are always clear.
+                let start = u32::from(r.sa_rr[od]);
                 let mut granted = None;
-                for slot in BitsIter(req & !low_mask).chain(BitsIter(req & low_mask)) {
-                    let r = &self.routers[ri];
+                for b in BitsIter(eligible.rotate_right(start)) {
+                    let slot = (b + start as usize) & 63;
                     let st = &r.vc_state[slot];
                     debug_assert!(st.len > 0, "occupied slot holds no flit");
-                    debug_assert_eq!(st.route, Some(out_dir), "request mask drifted");
-                    // A flit spends at least one full cycle buffered before
-                    // it may traverse the switch (two-cycle router floor).
-                    if r.vc_front_arrived_at(slot) == Some(self.cycle) {
-                        continue;
-                    }
-                    if out_dir != Direction::Local {
+                    debug_assert_eq!(st.route, Some(Direction::ALL[od]), "request mask drifted");
+                    if od != local {
                         let Some(ovc) = st.out_vc else { continue };
-                        if r.out_credits[od * vcs + ovc] == 0 {
+                        if r.out_credits[od * vcs + usize::from(ovc)] == 0 {
                             continue;
                         }
                     }
@@ -662,55 +714,75 @@ impl<I: PacketInspector> Network<I> {
                 let Some(slot) = granted else {
                     continue;
                 };
-                let (in_port, vc) = (slot / vcs, slot % vcs);
-                let bump = 1 + usize::from(self.rr_skew);
-                self.routers[ri].sa_rr[od] = (slot + bump) % slots;
-                self.routers[ri].flits_forwarded += 1;
-                let out_vc = self.routers[ri].vc_state[slot].out_vc;
-                let flit = self.routers[ri]
-                    .pop_flit(slot)
-                    .expect("granted VC nonempty");
-                // Return a credit upstream for the buffer slot just freed.
-                if let Some(up_out) = Direction::ALL[in_port].opposite() {
-                    if let Some(up) = self.neighbor_tbl[ri * 4 + in_port] {
-                        credit_returns.push((up, up_out, vc, flit.kind.is_tail()));
-                    }
+                let mut next = slot + bump;
+                if next >= slots {
+                    next -= slots;
                 }
-                if out_dir == Direction::Local {
-                    self.eject(flit);
+                r.sa_rr[od] = next as u8;
+                r.flits_forwarded += 1;
+                let out_vc = r.vc_state[slot].out_vc;
+                let flit = r.pop_flit(slot).expect("granted VC nonempty");
+                // Return a credit upstream for the buffer slot just freed.
+                credit_return(&mut credit_returns, neighbor_tbl, slot_ports, ri, slot);
+                if od == local {
+                    // Ejection: the tail completes delivery of the frame
+                    // held in the packet store.
+                    stats.on_flit_delivered();
+                    if flit.kind.is_tail() {
+                        let (packet, injected_at, hops, modified) = store.finish(flit.slot);
+                        let latency = now - injected_at;
+                        stats.on_packet_delivered(
+                            latency,
+                            u64::from(hops),
+                            modified,
+                            matches!(packet.kind(), PacketKind::PowerReq),
+                        );
+                        if let Some(trace) = trace.as_mut() {
+                            trace.record(TraceEvent::Ejected {
+                                packet: flit.packet_id,
+                                node: packet.dst(),
+                                cycle: now,
+                            });
+                        }
+                        ejected.push(DeliveredPacket {
+                            packet,
+                            latency,
+                            hops,
+                            modified,
+                        });
+                    }
                 } else {
-                    let ovc = out_vc.expect("non-local ST requires an allocated VC");
-                    self.routers[ri].out_credits[od * vcs + ovc] -= 1;
+                    let ovc = usize::from(out_vc.expect("non-local ST requires an allocated VC"));
+                    let ci = od * vcs + ovc;
+                    r.out_credits[ci] -= 1;
                     if flit.kind.is_tail() {
                         // Path released: downstream VC becomes reusable once
                         // its buffer drains; dealloc happens on downstream pop
                         // via the credit-return channel below.
-                        self.routers[ri].out_allocated[od * vcs + ovc] = false;
+                        r.out_allocated[ci] = false;
                     }
                     if flit.kind.is_head() {
-                        self.store.bump_hops(flit.slot);
+                        store.bump_hops(flit.slot);
                     }
-                    let li = self.link_index(node, out_dir);
-                    debug_assert!(self.links[li].is_none());
-                    self.links[li] = Some((flit, ovc));
-                    self.links_occupied.insert(li);
+                    debug_assert!(links[li].is_none());
+                    links[li] = Some((flit, ovc));
+                    links_occupied.insert(li);
                 }
             }
-            if self.routers[ri].buffered_flits() == 0 {
-                self.active.remove(ri);
+            if r.buffered_flits() == 0 {
+                active.remove(ri);
             }
         }
-        self.scratch = worklist;
-        for &(up, up_out, vc, _tail) in &credit_returns {
-            let r = &mut self.routers[up.0 as usize];
-            let s = r.slot(up_out.index(), vc);
-            r.out_credits[s] += 1;
+        *scratch = worklist;
+        for &(up, ci) in &credit_returns {
+            let r = &mut routers[up as usize];
+            r.out_credits[ci as usize] += 1;
             debug_assert!(
-                r.out_credits[s] <= r.config().buffer_depth,
+                r.out_credits[ci as usize] <= r.config().buffer_depth,
                 "credit overflow"
             );
         }
-        self.credit_scratch = credit_returns;
+        *credit_scratch = credit_returns;
     }
 
     /// Stage 2a: flits on links land in downstream input buffers.
@@ -726,7 +798,6 @@ impl<I: PacketInspector> Network<I> {
         for &li in &worklist {
             let li = li as usize;
             let (flit, ovc) = self.links[li].take().expect("occupied link holds a flit");
-            self.links_occupied.remove(li);
             let dst_node = self.neighbor_tbl[li].expect("link endpoints are mesh neighbours");
             let in_port = Direction::OPPOSITE_INDEX[li % 4];
             let di = dst_node.0 as usize;
@@ -734,11 +805,18 @@ impl<I: PacketInspector> Network<I> {
             let s = r.slot(in_port, ovc);
             r.push_flit(s, flit, now);
             let occupancy = r.vc_len(s);
+            if occupancy == 1 {
+                // The flit is its VC's front: switch traversal must hold it
+                // back this cycle.
+                r.mark_fresh(s);
+            }
             if let Some(m) = self.metrics.as_deref_mut() {
                 m.on_flit_buffered(occupancy);
             }
             self.active.insert(di);
         }
+        // Every occupied link delivered its flit above.
+        self.links_occupied.clear();
         self.scratch = worklist;
     }
 
@@ -795,60 +873,56 @@ impl<I: PacketInspector> Network<I> {
         self.scratch = worklist;
     }
 
-    /// Stage 3: VC allocation — input VCs that know their output port
-    /// acquire a free downstream VC.
-    fn stage_vc_allocation(&mut self) {
-        // VA moves no flits, so the active snapshot equals the dense scan's
-        // `buffered > 0` filter throughout the stage.
-        let mut worklist = std::mem::take(&mut self.scratch);
-        self.active.snapshot_into(&mut worklist);
-        for &ri in &worklist {
-            let ri = ri as usize;
-            // Ascending slot order == the dense (port, vc) double loop; the
-            // VA-pending mask names exactly the slots the dense scan's
-            // route/out-VC filters would have acted on.
-            for slot in BitsIter(self.routers[ri].va_pending_slots()) {
-                let st = &self.routers[ri].vc_state[slot];
-                debug_assert!(
-                    st.out_vc.is_none() && st.route.is_some_and(|r| r != Direction::Local),
-                    "VA-pending mask drifted"
-                );
-                let od = st.route.expect("VA-pending slot has a route").index();
-                if let Some(free) = self.routers[ri].free_out_vc(od) {
-                    self.routers[ri].grant_out_vc(slot, free);
-                }
-            }
-        }
-        self.scratch = worklist;
-    }
-
-    /// Stage 4: routing computation, preceded by the inspection hook — the
-    /// point where an implanted Trojan reads and possibly rewrites the
-    /// packet (Fig. 2b).
+    /// Stages 3 and 4, one pass per router. VC allocation: input VCs that
+    /// know their output port acquire a free downstream VC. Then routing
+    /// computation, preceded by the inspection hook — the point where an
+    /// implanted Trojan reads and possibly rewrites the packet (Fig. 2b).
+    ///
+    /// Running VA then RC per router, routers ascending, is observably the
+    /// same as VA over all routers followed by RC over all routers: both
+    /// read and write only their own router's state (a route chosen by RC
+    /// reaches VA next cycle either way), and only RC calls the inspector,
+    /// the fault hook and the trace, in unchanged router order.
     ///
     /// When `faults_engaged`, the installed [`FaultHook`] runs immediately
     /// after the inspector on the same once-per-packet-per-router
     /// discipline: payload bit flips reuse the tamper bookkeeping,
     /// whole-packet drops reuse the inspector's drop-sink machinery.
-    fn stage_routing_and_inspection(&mut self, faults_engaged: bool) {
-        // RC moves no flits either (the inspector only sees the packet
-        // header), so the same snapshot argument as VA applies.
+    fn stage_allocation_and_routing(&mut self, faults_engaged: bool) {
+        // VA and RC move no flits (the inspector only sees the packet
+        // header), so the active snapshot equals the dense scan's
+        // `buffered > 0` filter throughout the stage.
         let mut worklist = std::mem::take(&mut self.scratch);
         self.active.snapshot_into(&mut worklist);
         for &ri in &worklist {
             let ri = ri as usize;
             let node = NodeId(ri as u16);
-            let vcs = self.routers[ri].config().vcs;
+            // VC allocation. Ascending slot order == the dense (port, vc)
+            // double loop; the VA-pending mask names exactly the slots the
+            // dense scan's route/out-VC filters would have acted on.
+            let r = &mut self.routers[ri];
+            for slot in BitsIter(r.va_pending_slots()) {
+                let st = &r.vc_state[slot];
+                debug_assert!(
+                    st.out_vc.is_none() && st.route.is_some_and(|d| d != Direction::Local),
+                    "VA-pending mask drifted"
+                );
+                let od = st.route.expect("VA-pending slot has a route").index();
+                if let Some(free) = r.free_out_vc(od) {
+                    r.grant_out_vc(slot, free);
+                }
+            }
+            // Routing computation and inspection.
             // Ascending slot order == the dense (port, vc) double loop; the
             // unrouted mask names exactly the occupied slots the dense
             // scan's route/dropping filters would have reached.
             for slot in BitsIter(self.routers[ri].unrouted_slots()) {
-                let in_port = slot / vcs;
+                let in_port = self.slot_ports[slot].0 as usize;
                 {
                     let st = &self.routers[ri].vc_state[slot];
                     debug_assert!(st.route.is_none() && !st.dropping, "unrouted mask drifted");
                     let needs_inspection = !st.inspected;
-                    let Some(front) = self.routers[ri].vc_front_mut(slot) else {
+                    let Some(&front) = self.routers[ri].vc_front(slot) else {
                         continue;
                     };
                     if !front.kind.is_head() {
@@ -856,8 +930,11 @@ impl<I: PacketInspector> Network<I> {
                     }
                     let packet_id = front.packet_id;
                     let meta_slot = front.slot;
-                    let packet = front.packet.as_mut().expect("head flit carries packet");
                     if needs_inspection {
+                        // The inspector and the fault hook rewrite the frame
+                        // in its packet-store slot; every later router and
+                        // the receiver read it from there.
+                        let packet = self.store.packet_mut(meta_slot);
                         let payload_before = packet.payload();
                         let outcome = self.inspector.inspect(node, self.cycle, packet);
                         if outcome.dropped {
@@ -868,17 +945,19 @@ impl<I: PacketInspector> Network<I> {
                             continue;
                         }
                         if outcome.modified {
+                            let payload_after = packet.payload();
                             self.store.set_modified(meta_slot);
                             if let Some(trace) = self.trace.as_mut() {
                                 trace.record(TraceEvent::Tampered {
                                     packet: packet_id,
                                     node,
                                     payload_before,
-                                    payload_after: packet.payload(),
+                                    payload_after,
                                     cycle: self.cycle,
                                 });
                             }
                         }
+                        let packet = self.store.packet_mut(meta_slot);
                         let action = match self.faults.as_mut() {
                             Some(hook) if faults_engaged => {
                                 hook.packet_fault(node, self.cycle, packet)
@@ -893,13 +972,14 @@ impl<I: PacketInspector> Network<I> {
                         if action.flip_mask != 0 {
                             let before = packet.payload();
                             packet.set_payload(before ^ action.flip_mask);
+                            let after = packet.payload();
                             self.store.set_modified(meta_slot);
                             if let Some(trace) = self.trace.as_mut() {
                                 trace.record(TraceEvent::Tampered {
                                     packet: packet_id,
                                     node,
                                     payload_before: before,
-                                    payload_after: packet.payload(),
+                                    payload_after: after,
                                     cycle: self.cycle,
                                 });
                             }
@@ -912,7 +992,7 @@ impl<I: PacketInspector> Network<I> {
                             cycle: self.cycle,
                         });
                     }
-                    let dst = packet.dst();
+                    let dst = self.store.packet(meta_slot).dst();
                     let candidates =
                         self.routing
                             .route(self.mesh, node, dst, Direction::ALL[in_port]);
@@ -936,37 +1016,26 @@ impl<I: PacketInspector> Network<I> {
         self.scratch = worklist;
     }
 
-    fn eject(&mut self, flit: Flit) {
-        self.stats.on_flit_delivered();
-        if flit.kind.is_head() {
-            let packet = flit.packet.expect("head flit carries packet");
-            self.store.set_pending_head(flit.slot, packet);
-        }
-        if flit.kind.is_tail() {
-            let (packet, injected_at, hops, modified) = self.store.finish(flit.slot);
-            let latency = self.cycle - injected_at;
-            self.stats.on_packet_delivered(
-                latency,
-                u64::from(hops),
-                modified,
-                matches!(packet.kind(), PacketKind::PowerReq),
-            );
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(TraceEvent::Ejected {
-                    packet: flit.packet_id,
-                    node: packet.dst(),
-                    cycle: self.cycle,
-                });
-            }
-            self.ejected.push(DeliveredPacket {
-                packet,
-                latency,
-                hops,
-                modified,
-            });
-        }
-    }
     // htpb-lint: end-hot
+}
+
+/// Queues the credit that freeing one flit of input-VC slot `slot` of router
+/// `ri` owes the upstream router (none for the local port or a mesh edge).
+#[inline]
+fn credit_return(
+    out: &mut Vec<(u32, u32)>,
+    neighbor_tbl: &[Option<NodeId>],
+    slot_ports: &[(u8, u8)],
+    ri: usize,
+    slot: usize,
+) {
+    let (in_port, up_credit) = slot_ports[slot];
+    if in_port as usize == Direction::Local.index() {
+        return;
+    }
+    if let Some(up) = neighbor_tbl[ri * 4 + in_port as usize] {
+        out.push((u32::from(up.0), u32::from(up_credit)));
+    }
 }
 
 impl<I: PacketInspector + std::fmt::Debug> std::fmt::Debug for Network<I> {
@@ -1338,6 +1407,103 @@ mod tests {
         for vcid in 0..4 {
             assert!(n.router(NodeId(2)).can_accept(Direction::West, vcid));
         }
+    }
+
+    #[test]
+    fn multiflit_frame_tampered_en_route_and_at_destination_is_delivered() {
+        /// Rewrites data payloads at the listed routers: adds 1000 at an
+        /// intermediate router, doubles at the destination.
+        #[derive(Debug)]
+        struct RewriteData {
+            mid: NodeId,
+            dst: NodeId,
+        }
+        impl PacketInspector for RewriteData {
+            fn inspect(
+                &mut self,
+                router: NodeId,
+                _cycle: u64,
+                packet: &mut Packet,
+            ) -> crate::InspectOutcome {
+                if !matches!(packet.kind(), PacketKind::Data) {
+                    return crate::InspectOutcome::untouched();
+                }
+                if router == self.mid {
+                    packet.set_payload(packet.payload() + 1000);
+                } else if router == self.dst {
+                    packet.set_payload(packet.payload() * 2);
+                } else {
+                    return crate::InspectOutcome::untouched();
+                }
+                crate::InspectOutcome::tampered()
+            }
+        }
+        let mesh = Mesh2d::new(4, 1).unwrap();
+        let mut n = Network::with_inspector(
+            NetworkConfig::new(mesh),
+            RewriteData {
+                mid: NodeId(2),
+                dst: NodeId(3),
+            },
+        );
+        // Path 0 -> 1 -> 2 -> 3: a 5-flit frame rewritten at intermediate
+        // router 2, then again at its destination.
+        n.inject(Packet::new(NodeId(0), NodeId(3), PacketKind::Data, 7))
+            .unwrap();
+        // A clean frame behind it keeps its payload.
+        n.inject(Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 9))
+            .unwrap();
+        assert!(n.run_until_idle(1_000));
+        let out = n.drain_ejected();
+        assert_eq!(out.len(), 2);
+        let tampered = out.iter().find(|d| d.packet.dst() == NodeId(3)).unwrap();
+        assert_eq!(tampered.packet.payload(), (7 + 1000) * 2);
+        assert!(tampered.modified);
+        assert_eq!(tampered.hops, 3);
+        let clean = out.iter().find(|d| d.packet.dst() == NodeId(1)).unwrap();
+        assert_eq!(clean.packet.payload(), 9);
+        assert!(!clean.modified);
+        assert_eq!(n.stats().delivered_flits(), 10);
+        assert_eq!(n.store.live(), 0);
+    }
+
+    #[test]
+    fn dropped_multiflit_packet_frees_its_store_slot() {
+        #[derive(Debug)]
+        struct DropAt(NodeId);
+        impl PacketInspector for DropAt {
+            fn inspect(
+                &mut self,
+                router: NodeId,
+                _cycle: u64,
+                _packet: &mut Packet,
+            ) -> crate::InspectOutcome {
+                if router == self.0 {
+                    crate::InspectOutcome::dropped()
+                } else {
+                    crate::InspectOutcome::untouched()
+                }
+            }
+        }
+        let mesh = Mesh2d::new(4, 1).unwrap();
+        let mut n = Network::with_inspector(NetworkConfig::new(mesh), DropAt(NodeId(2)));
+        n.inject(Packet::new(NodeId(0), NodeId(3), PacketKind::Data, 1))
+            .unwrap();
+        assert_eq!(n.store.live(), 1);
+        assert!(n.run_until_idle(1_000));
+        assert!(n.is_idle());
+        assert_eq!(n.store.live(), 0, "dropped packet leaked its slot");
+        assert_eq!(n.stats().dropped_packets(), 1);
+        assert!(n.drain_ejected().is_empty());
+        // The freed slot is reused by the next packet (off the drop point),
+        // which is delivered with its own frame.
+        n.inject(Packet::new(NodeId(1), NodeId(0), PacketKind::Data, 5))
+            .unwrap();
+        assert!(n.run_until_idle(1_000));
+        let out = n.drain_ejected();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].packet.payload(), 5);
+        assert_eq!(n.store.live(), 0);
     }
 
     #[test]

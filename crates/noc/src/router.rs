@@ -67,6 +67,13 @@ pub struct VcSnapshot {
 /// slot order equals the nested `(port, vc)` loops the pipeline historically
 /// ran, so iteration order — and with it RR arbitration, ejection and trace
 /// order — is bit-for-bit unchanged.
+///
+/// Buffered flits are the compact 16-byte [`Flit`] (kind, packet-store
+/// slot, packet id) plus an arrival stamp; the packet frame itself stays in
+/// the network's packet store. Per-slot pipeline progress is summarised in
+/// `u64` masks over the slots (occupied, per-output switch requests,
+/// VA-pending, past-RC, and `fresh` — front flit delivered by a link this
+/// cycle), so the pipeline stages test bits instead of walking buffers.
 #[derive(Debug, Clone)]
 pub struct Router {
     id: NodeId,
@@ -83,8 +90,9 @@ pub struct Router {
     /// Whether each downstream VC is currently allocated to some packet,
     /// indexed `out_port * vcs + vc`.
     pub(crate) out_allocated: Vec<bool>,
-    /// Round-robin pointers for switch allocation, one per output port.
-    pub(crate) sa_rr: Vec<usize>,
+    /// Round-robin pointers for switch allocation, one per output port
+    /// (a slot index, `< 5 * vcs <= 60`).
+    pub(crate) sa_rr: [u8; 5],
     /// Flits this router pushed through its crossbar (all output ports).
     pub(crate) flits_forwarded: u64,
     /// Packet headers that ran routing computation here (= packets that
@@ -120,6 +128,12 @@ pub struct Router {
     /// chosen, or being sunk by a drop order). Routing computation scans
     /// `occupied & !pipeline_done` — only freshly arrived heads.
     pipeline_done: u64,
+    /// Slots whose front flit a link delivered this cycle (the VC was empty
+    /// before the delivery), set by [`Router::mark_fresh`] and consumed by
+    /// switch traversal through [`Router::take_fresh`]. Such a flit's arrival
+    /// stamp equals the current cycle, so it may not traverse the switch
+    /// yet; the mask answers that without reading the stamp.
+    fresh: u64,
 }
 
 impl Router {
@@ -143,11 +157,8 @@ impl Router {
         let placeholder = (
             Flit {
                 kind: FlitKind::Body,
+                slot: 0,
                 packet_id: 0,
-                dst: NodeId(0),
-                packet: None,
-                injected_at: 0,
-                slot: Flit::NO_SLOT,
             },
             0u64,
         );
@@ -158,7 +169,7 @@ impl Router {
             buf: vec![placeholder; slots * config.buffer_depth],
             out_credits: vec![config.buffer_depth; slots],
             out_allocated: vec![false; slots],
-            sa_rr: vec![0; 5],
+            sa_rr: [0; 5],
             flits_forwarded: 0,
             packets_routed: 0,
             buffered: 0,
@@ -167,6 +178,7 @@ impl Router {
             route_req: [0; 5],
             va_pending: 0,
             pipeline_done: 0,
+            fresh: 0,
         }
     }
 
@@ -219,18 +231,6 @@ impl Router {
         Some(&self.buf[s * depth + st.head as usize].0)
     }
 
-    /// Mutable front flit of input-VC slot `s` (the inspection hook
-    /// rewrites packet headers in place).
-    #[inline]
-    pub(crate) fn vc_front_mut(&mut self, s: usize) -> Option<&mut Flit> {
-        let st = &self.vc_state[s];
-        if st.len == 0 {
-            return None;
-        }
-        let depth = self.config.buffer_depth;
-        Some(&mut self.buf[s * depth + st.head as usize].0)
-    }
-
     /// Cycle at which the front flit of input-VC slot `s` entered its
     /// buffer.
     #[inline]
@@ -279,7 +279,11 @@ impl Router {
             (st.len as usize) < depth,
             "credit protocol violated: VC overrun"
         );
-        let idx = s * depth + (st.head as usize + st.len as usize) % depth;
+        let mut pos = st.head as usize + st.len as usize;
+        if pos >= depth {
+            pos -= depth;
+        }
+        let idx = s * depth + pos;
         st.len += 1;
         self.buf[idx] = (flit, now);
         self.buffered += 1;
@@ -297,7 +301,10 @@ impl Router {
             return None;
         }
         let (flit, _) = self.buf[s * depth + st.head as usize];
-        st.head = (st.head + 1) % depth as u32;
+        st.head += 1;
+        if st.head as usize == depth {
+            st.head = 0;
+        }
         st.len -= 1;
         if st.len == 0 {
             self.occupied &= !(1 << s);
@@ -335,6 +342,42 @@ impl Router {
         self.occupied
     }
 
+    /// Records that a link delivered the front flit of input-VC slot `s`
+    /// this cycle.
+    #[inline]
+    pub(crate) fn mark_fresh(&mut self, s: usize) {
+        self.fresh |= 1 << s;
+    }
+
+    /// Takes (and clears) the mask of slots whose front flit a link
+    /// delivered this cycle. Switch traversal calls it once per router and
+    /// cycle, before anything else, so the mask never outlives its cycle.
+    #[inline]
+    pub(crate) fn take_fresh(&mut self) -> u64 {
+        std::mem::take(&mut self.fresh)
+    }
+
+    /// Asserts that the `fresh` mask names exactly the requesting slots
+    /// whose front flit arrived at cycle `now` (debug-build audit of the
+    /// arbiter's stamp-free eligibility test).
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_fresh_consistent(&self, req: u64, fresh: u64, now: u64) {
+        for s in crate::active::BitsIter(req) {
+            let arrived_now = self.vc_front_arrived_at(s) == Some(now);
+            assert_eq!(
+                fresh & (1 << s) != 0,
+                arrived_now,
+                "fresh mask disagrees with the arrival stamp of slot {s} at cycle {now}"
+            );
+        }
+    }
+
+    /// Whether no slot is marked fresh (debug end-of-cycle audit).
+    #[cfg(debug_assertions)]
+    pub(crate) fn debug_no_fresh(&self) -> bool {
+        self.fresh == 0
+    }
+
     /// Marks input-VC slot `s` as sinking a dropped packet. Idempotent.
     #[inline]
     pub(crate) fn mark_dropping(&mut self, s: usize) {
@@ -370,7 +413,7 @@ impl Router {
             .expect("VA grant requires a computed route")
             .index();
         self.out_allocated[od * self.config.vcs + out_vc] = true;
-        self.vc_state[s].out_vc = Some(out_vc);
+        self.vc_state[s].out_vc = Some(out_vc as u8);
         self.va_pending &= !(1u64 << s);
     }
 
@@ -469,7 +512,7 @@ impl Router {
             front_packet: self.vc_front(s).map(|f| f.packet_id),
             front_arrived_at: self.vc_front_arrived_at(s),
             route: st.route,
-            out_vc: st.out_vc,
+            out_vc: st.out_vc.map(usize::from),
             inspected: st.inspected,
             dropping: st.dropping,
         }
@@ -508,7 +551,12 @@ mod tests {
     use crate::packet::{Packet, PacketKind};
 
     fn data_flits() -> Vec<Flit> {
-        Flit::packetize(Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 7), 1, 0)
+        Flit::train(
+            1,
+            0,
+            Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 7).flit_count(),
+        )
+        .collect()
     }
 
     #[test]

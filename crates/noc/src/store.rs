@@ -1,14 +1,14 @@
-//! Slab arena for in-flight packet bookkeeping.
+//! Slab arena for in-flight packets.
 //!
-//! The network used to track packet metadata (injection cycle, hop count,
-//! tamper flag) and partially ejected head frames in two hash maps keyed by
-//! packet id, probed on every switch traversal and ejection. A
-//! [`PacketStore`] replaces both: each in-flight packet owns one slot in a
-//! contiguous slab, every flit carries its slot index ([`crate::Flit::slot`]),
-//! and slots recycle through an intrusive free list. Metadata touches on the
-//! hot path become a single array index, and steady-state traffic performs
-//! zero heap allocations — [`PacketStore::alloc`] only grows the slab when no
-//! freed slot is available, which after warm-up never happens.
+//! Each in-flight packet owns one slot in a contiguous slab: its frame
+//! (source, destination, type, payload — the fields the inspector may
+//! rewrite), its injection cycle, hop count and tamper flag. Every flit
+//! carries only its slot index ([`crate::Flit::slot`]), so the flits that
+//! switch traversal copies on every grant stay small, and metadata touches
+//! on the hot path are a single array index. Slots recycle through an
+//! intrusive free list, so steady-state traffic performs zero heap
+//! allocations — [`PacketStore::alloc`] only grows the slab when no freed
+//! slot is available, which after warm-up never happens.
 
 use crate::packet::Packet;
 
@@ -20,9 +20,8 @@ struct Slot {
     injected_at: u64,
     hops: u32,
     modified: bool,
-    /// Head frame of a partially ejected multi-flit packet, parked between
-    /// head and tail ejection.
-    pending_head: Option<Packet>,
+    /// The packet frame, as rewritten so far by inspectors and faults.
+    packet: Packet,
     /// Next slot in the free list (meaningful only while not live).
     next_free: u32,
     live: bool,
@@ -57,12 +56,13 @@ impl PacketStore {
         }
     }
 
-    /// Claims a slot for a newly injected packet and returns its index.
+    /// Claims a slot for a newly injected packet and its frame and returns
+    /// the slot's index.
     ///
     /// The only operation that may heap-allocate (when the free list is
     /// empty and the slab must grow); once the slab has reached the
     /// campaign's peak in-flight population it never grows again.
-    pub fn alloc(&mut self, packet_id: u64, injected_at: u64) -> u32 {
+    pub fn alloc(&mut self, packet_id: u64, injected_at: u64, packet: Packet) -> u32 {
         self.live += 1;
         if self.free_head != NIL {
             let slot = self.free_head;
@@ -73,7 +73,7 @@ impl PacketStore {
             s.injected_at = injected_at;
             s.hops = 0;
             s.modified = false;
-            s.pending_head = None;
+            s.packet = packet;
             s.live = true;
             return slot;
         }
@@ -84,7 +84,7 @@ impl PacketStore {
             injected_at,
             hops: 0,
             modified: false,
-            pending_head: None,
+            packet,
             next_free: NIL,
             live: true,
         });
@@ -102,7 +102,6 @@ impl PacketStore {
         let s = &mut self.slots[slot as usize];
         assert!(s.live, "double free of packet slot {slot}");
         s.live = false;
-        s.pending_head = None;
         s.next_free = self.free_head;
         self.free_head = slot;
         self.live -= 1;
@@ -160,25 +159,27 @@ impl PacketStore {
         self.slots[slot as usize].modified = true;
     }
 
-    /// Parks the ejected head frame of a multi-flit packet until its tail
-    /// arrives.
-    pub fn set_pending_head(&mut self, slot: u32, packet: Packet) {
+    /// The frame of the live packet in `slot`.
+    #[must_use]
+    pub fn packet(&self, slot: u32) -> &Packet {
         debug_assert!(self.slots[slot as usize].live);
-        self.slots[slot as usize].pending_head = Some(packet);
+        &self.slots[slot as usize].packet
     }
 
-    /// Completes delivery of the packet in `slot`: takes the parked head
-    /// frame and the accumulated metadata, and frees the slot. Returns
+    /// Mutable frame of the live packet in `slot`: the inspector and the
+    /// fault hook rewrite headers and payloads here.
+    pub fn packet_mut(&mut self, slot: u32) -> &mut Packet {
+        debug_assert!(self.slots[slot as usize].live);
+        &mut self.slots[slot as usize].packet
+    }
+
+    /// Completes delivery of the packet in `slot`: returns its frame and
+    /// accumulated metadata, and frees the slot. Returns
     /// `(packet, injected_at, hops, modified)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no head frame was parked (tail ejected before head).
     pub fn finish(&mut self, slot: u32) -> (Packet, u64, u32, bool) {
-        let s = &mut self.slots[slot as usize];
+        let s = &self.slots[slot as usize];
         debug_assert!(s.live);
-        let packet = s.pending_head.take().expect("tail after head");
-        let out = (packet, s.injected_at, s.hops, s.modified);
+        let out = (s.packet, s.injected_at, s.hops, s.modified);
         self.free(slot);
         out
     }
@@ -190,18 +191,27 @@ mod tests {
     use crate::packet::PacketKind;
     use crate::topology::NodeId;
 
+    fn frame(payload: u32) -> Packet {
+        Packet::new(NodeId(0), NodeId(1), PacketKind::Data, payload)
+    }
+
     #[test]
     fn alloc_free_recycles_lifo() {
         let mut st = PacketStore::new();
-        let a = st.alloc(1, 10);
-        let b = st.alloc(2, 11);
+        let a = st.alloc(1, 10, frame(1));
+        let b = st.alloc(2, 11, frame(2));
         assert_ne!(a, b);
         assert_eq!(st.live(), 2);
         st.free(a);
         assert_eq!(st.live(), 1);
-        let c = st.alloc(3, 12);
+        let c = st.alloc(3, 12, frame(3));
         assert_eq!(c, a, "freed slot is recycled");
         assert_eq!(st.packet_id(c), 3);
+        assert_eq!(
+            st.packet(c).payload(),
+            3,
+            "recycled slot holds the new frame"
+        );
         assert_eq!(st.injected_at(c), 12);
         assert_eq!(st.hops(c), 0);
         assert!(!st.modified(c));
@@ -210,14 +220,13 @@ mod tests {
     #[test]
     fn finish_returns_meta_and_frees() {
         let mut st = PacketStore::new();
-        let s = st.alloc(7, 100);
+        let s = st.alloc(7, 100, frame(42));
         st.bump_hops(s);
         st.bump_hops(s);
+        st.packet_mut(s).set_payload(21);
         st.set_modified(s);
-        let p = Packet::new(NodeId(0), NodeId(1), PacketKind::Data, 42);
-        st.set_pending_head(s, p);
         let (packet, injected_at, hops, modified) = st.finish(s);
-        assert_eq!(packet, p);
+        assert_eq!(packet, frame(21), "finish returns the rewritten frame");
         assert_eq!(injected_at, 100);
         assert_eq!(hops, 2);
         assert!(modified);
@@ -229,7 +238,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
         let mut st = PacketStore::new();
-        let s = st.alloc(1, 0);
+        let s = st.alloc(1, 0, frame(0));
         st.free(s);
         st.free(s);
     }

@@ -12,8 +12,10 @@ pub(crate) struct VcState {
     /// Output port chosen by routing computation for the packet currently
     /// occupying this VC (`None` until RC runs on the head flit).
     pub route: Option<Direction>,
-    /// Downstream VC granted by VC allocation (`None` until VA succeeds).
-    pub out_vc: Option<usize>,
+    /// Downstream VC granted by VC allocation (`None` until VA succeeds);
+    /// a byte suffices under the router's `vcs <= 12` contract and keeps
+    /// the per-VC state at 16 bytes.
+    pub out_vc: Option<u8>,
     /// Whether the packet's head flit has been inspected at this router
     /// (the Trojan hook fires once per hop).
     pub inspected: bool,
@@ -71,5 +73,11 @@ mod tests {
         assert!(!st.dropping);
         assert_eq!(st.head, 3, "ring cursor must survive packet turnover");
         assert_eq!(st.len, 1);
+    }
+
+    /// Layout lock: switch traversal reads a slot's state on every probe.
+    #[test]
+    fn vc_state_stays_compact() {
+        assert!(std::mem::size_of::<VcState>() <= 16);
     }
 }

@@ -1,7 +1,10 @@
 //! Allocation regression lock: steady-state [`Network::step`] performs
 //! ZERO heap allocations.
 //!
-//! A counting [`GlobalAlloc`] wraps the system allocator; after a warm-up
+//! A counting [`GlobalAlloc`] wraps the system allocator and tallies each
+//! allocation on the allocating thread's own counter, so the tests of this
+//! file, which the harness runs on parallel threads, cannot see each
+//! other's allocations; after a warm-up
 //! phase (which is allowed to allocate: injection queues, the packet-store
 //! slab and the ejection buffer all grow to their steady-state capacity),
 //! every individual `step()` call on a loaded 16×16 mesh must leave the
@@ -16,20 +19,37 @@
 #![cfg(not(debug_assertions))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use htpb_noc::{Mesh2d, Network, NetworkConfig, PacketKind, TrafficPattern, UniformTraffic};
 
-/// Counts every allocator call that can hand out fresh memory. Frees are
-/// not counted: returning memory is allowed (and `step()` does not do that
-/// either, but the lock is specifically on *acquiring* heap memory).
+/// Counts every allocator call that can hand out fresh memory, on the
+/// calling thread's counter. Frees are not counted: returning memory is
+/// allowed (and `step()` does not do that either, but the lock is
+/// specifically on *acquiring* heap memory).
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. A const-initialised `Cell` has
+    /// no destructor and needs no lazy set-up, so touching it from inside
+    /// the allocator cannot itself allocate or re-enter.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` fails only while the thread is being torn down; such
+    // allocations cannot come from a `step()` under test.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocator calls made so far by the calling thread.
+fn thread_allocs() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,12 +58,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -94,9 +114,9 @@ fn run_zero_alloc_scenario(metrics: bool) {
         for p in traffic.generate(cycle) {
             let _ = net.inject(p);
         }
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = thread_allocs();
         net.step();
-        let after = ALLOC_CALLS.load(Ordering::Relaxed);
+        let after = thread_allocs();
         assert_eq!(
             after - before,
             0,

@@ -153,7 +153,7 @@ proptest! {
     /// [`PacketStore`] recycling never aliases a live packet: under an
     /// arbitrary interleaving of allocations and frees, `alloc` never hands
     /// out a slot that a live packet still occupies, and every live slot
-    /// keeps the packet id it was allocated with.
+    /// keeps the packet id and frame it was allocated with.
     #[test]
     fn packet_store_recycling_never_aliases_live_packets(
         ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 1..256),
@@ -171,7 +171,8 @@ proptest! {
             } else {
                 let id = next_id;
                 next_id += 1;
-                let slot = store.alloc(id, id);
+                let frame = Packet::power_request(NodeId(0), NodeId(1), id as u32);
+                let slot = store.alloc(id, id, frame);
                 prop_assert!(
                     live.iter().all(|&(s, _)| s != slot),
                     "alloc returned slot {} which is still live", slot
@@ -184,6 +185,7 @@ proptest! {
         for &(slot, id) in &live {
             prop_assert_eq!(store.packet_id(slot), id);
             prop_assert_eq!(store.injected_at(slot), id);
+            prop_assert_eq!(store.packet(slot).payload(), id as u32);
         }
     }
 

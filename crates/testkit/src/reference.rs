@@ -23,8 +23,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use htpb_noc::{
-    DeliveredPacket, Digest, FaultAction, FaultHook, Flit, Mesh2d, NetworkConfig, NocError, NodeId,
-    Packet, PacketInspector, PacketKind, RoutingAlgorithm, TraceBuffer, TraceEvent, VcSnapshot,
+    DeliveredPacket, Digest, FaultAction, FaultHook, FlitKind, Mesh2d, NetworkConfig, NocError,
+    NodeId, Packet, PacketInspector, PacketKind, RoutingAlgorithm, TraceBuffer, TraceEvent,
+    VcSnapshot,
 };
 
 use htpb_noc::Direction;
@@ -100,10 +101,43 @@ impl RefStats {
     }
 }
 
+/// The reference's own flit: the head carries the whole packet frame
+/// inline, as a textbook wormhole model would. Deliberately not the
+/// optimized network's compact [`htpb_noc::Flit`] (whose frame lives in a
+/// packet store), so the oracle does not share the representation it checks.
+#[derive(Debug, Clone, Copy)]
+struct RefFlit {
+    kind: FlitKind,
+    packet_id: u64,
+    /// The packet frame; head flits only.
+    packet: Option<Packet>,
+}
+
+/// Splits a packet into its wire flits: one `HeadTail` flit for a
+/// single-flit packet, otherwise `Head`, `Body`…, `Tail`.
+fn packetize(packet: Packet, packet_id: u64) -> Vec<RefFlit> {
+    let n = packet.flit_count();
+    (0..n)
+        .map(|i| {
+            let kind = match (i, n) {
+                (_, 1) => FlitKind::HeadTail,
+                (0, _) => FlitKind::Head,
+                (i, n) if i == n - 1 => FlitKind::Tail,
+                _ => FlitKind::Body,
+            };
+            RefFlit {
+                kind,
+                packet_id,
+                packet: kind.is_head().then_some(packet),
+            }
+        })
+        .collect()
+}
+
 /// One input virtual channel of the reference router.
 #[derive(Debug, Clone)]
 struct RefVc {
-    buffer: VecDeque<(Flit, u64)>,
+    buffer: VecDeque<(RefFlit, u64)>,
     capacity: usize,
     route: Option<Direction>,
     out_vc: Option<usize>,
@@ -127,12 +161,12 @@ impl RefVc {
         self.buffer.len() < self.capacity
     }
 
-    fn push(&mut self, flit: Flit, now: u64) {
+    fn push(&mut self, flit: RefFlit, now: u64) {
         assert!(self.has_space(), "reference: credit protocol violated");
         self.buffer.push_back((flit, now));
     }
 
-    fn pop(&mut self) -> Option<Flit> {
+    fn pop(&mut self) -> Option<RefFlit> {
         let (flit, _) = self.buffer.pop_front()?;
         if flit.kind.is_tail() {
             self.route = None;
@@ -203,8 +237,8 @@ pub struct ReferenceNet {
     routing: Box<dyn RoutingAlgorithm>,
     routers: Vec<RefRouter>,
     /// `links[node * 4 + dir]`, flit plus its allocated downstream VC.
-    links: Vec<Option<(Flit, usize)>>,
-    queues: Vec<VecDeque<Flit>>,
+    links: Vec<Option<(RefFlit, usize)>>,
+    queues: Vec<VecDeque<RefFlit>>,
     injection_vc: Vec<Option<usize>>,
     injection_capacity: usize,
     neighbor_tbl: Vec<Option<NodeId>>,
@@ -325,7 +359,7 @@ impl ReferenceNet {
         }
         let id = self.next_packet_id;
         self.next_packet_id += 1;
-        for flit in Flit::packetize(packet, id, self.cycle) {
+        for flit in packetize(packet, id) {
             queue.push_back(flit);
         }
         self.in_flight.insert(
@@ -670,7 +704,7 @@ impl ReferenceNet {
         }
     }
 
-    fn eject(&mut self, flit: Flit) {
+    fn eject(&mut self, flit: RefFlit) {
         self.stats.delivered_flits += 1;
         if flit.kind.is_head() {
             let packet = flit.packet.expect("head flit carries packet");
