@@ -1,8 +1,8 @@
 //! Criterion bench for the Fig. 3 experiment: one infection-rate
 //! measurement (64-node chip, random Trojan placement) per manager
-//! location. The full figure is regenerated by `--bin fig3`; this bench
-//! tracks the cost of a single data point so regressions in the rig are
-//! caught.
+//! location. The full figure is regenerated by `repro_all` into
+//! `results/fig3_<nodes>.tsv`; this bench tracks the cost of a single data
+//! point so regressions in the rig are caught.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

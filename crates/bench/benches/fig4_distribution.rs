@@ -1,6 +1,7 @@
 //! Criterion bench for the Fig. 4 experiment: infection-rate measurement
 //! across the three HT distribution strategies at a fixed system size.
-//! The full figure is regenerated by `--bin fig4`.
+//! The full figure is regenerated by `repro_all` into
+//! `results/fig4_n<16,8>.tsv`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

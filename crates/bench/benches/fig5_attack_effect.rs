@@ -1,6 +1,6 @@
 //! Criterion bench for the Fig. 5 experiment: one full attack campaign
-//! (clean baseline + attacked run) on a 64-node chip. The full 256-node
-//! figure is regenerated by `--bin fig5`.
+//! (clean baseline + attacked run) on a 32-node chip. The full 256-node
+//! figure is regenerated by `repro_all` into `results/fig5_<mix>.tsv`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

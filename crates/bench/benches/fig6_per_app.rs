@@ -1,11 +1,11 @@
-//! Criterion bench for the Fig. 6 experiment: the per-application sweep
-//! machinery at a single duty point, verifying the attacker/victim split
-//! comes out with the right signs. The full figure is regenerated by
-//! `--bin fig6`.
+//! Criterion bench for the Fig. 6 experiment: one campaign (clean baseline
+//! plus attacked run) at a single duty point, verifying the attacker/victim
+//! split comes out with the right signs. The full figure is regenerated by
+//! `repro_all` into `results/fig6_<mix>.tsv`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use htpb_core::{attack_sweep, CampaignConfig, Mix};
+use htpb_core::{run_campaign, CampaignConfig, Mix};
 
 fn bench_sweep_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_sweep_point_tiny");
@@ -13,11 +13,10 @@ fn bench_sweep_point(c: &mut Criterion) {
     group.bench_function("mix1_duty_0.5", |b| {
         b.iter(|| {
             let cfg = CampaignConfig::tiny(Mix::Mix1);
-            let points = attack_sweep(&cfg, &[0.5]);
-            let p = &points[0];
-            assert!(p.outcome.max_attacker_gain() >= 1.0);
-            assert!(p.outcome.min_victim_change() <= 1.0);
-            p.q_value
+            let r = run_campaign(&cfg, 0.5);
+            assert!(r.outcome.max_attacker_gain() >= 1.0);
+            assert!(r.outcome.min_victim_change() <= 1.0);
+            r.outcome.q_value
         });
     });
     group.finish();

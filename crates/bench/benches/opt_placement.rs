@@ -1,6 +1,7 @@
 //! Criterion bench for the Eqs. 10–11 placement optimizer: the exhaustive
 //! enumeration over (ρ, η, m) on the paper's 256-node platform. The
-//! Section V-C comparison is regenerated by `--bin opt_placement`.
+//! Section V-C comparison is regenerated by `repro_all` into
+//! `results/opt_placement.tsv`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

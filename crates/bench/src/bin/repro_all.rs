@@ -9,8 +9,7 @@
 //!   smoke-reproduction (~1 min); default is paper scale;
 //! - `--tiny`       seconds-scale smoke run (integration-test scale);
 //! - `--jobs N`     run experiment points on N worker threads (default: one
-//!   per core; deterministic — parallel output is byte-identical to
-//!   sequential);
+//!   per core; deterministic — the output is byte-identical at any N);
 //! - `--no-cache`   recompute every point, ignore `results/.cache/`;
 //! - `--resume`     reuse cached points (the default) — an interrupted or
 //!   crashed run picks up where it left off: jobs the journal shows as
@@ -20,8 +19,6 @@
 //! - `--verify`     after the run, re-checksum every emitted artefact
 //!   against the digests recorded in the journal; exit non-zero on any
 //!   mismatch;
-//! - `--sequential` bypass the job pool and run the legacy whole-series
-//!   drivers in order (reference path, no cache);
 //! - `--metrics`    collect runtime metrics (`htpb-obs`): writes
 //!   `results/metrics.prom`, embeds a JSON snapshot in the journal's
 //!   `run_end` record and prints a summary block on stderr. Proven not to
@@ -36,10 +33,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use htpb_harness::{
-    cache_for, run_repro, run_repro_sequential, verify_artefacts, HarnessArgs, ReproScale,
-    RunOptions,
-};
+use htpb_harness::{cache_for, run_repro, verify_artefacts, HarnessArgs, ReproScale, RunOptions};
 
 fn main() -> ExitCode {
     let args = match HarnessArgs::parse(std::env::args().skip(1)) {
@@ -51,13 +45,11 @@ fn main() -> ExitCode {
     };
     htpb_obs::set_enabled(args.metrics);
     let mut scale = ReproScale::Paper;
-    let mut sequential = false;
     let mut verify = false;
     for arg in &args.rest {
         match arg.as_str() {
             "--quick" => scale = ReproScale::Quick,
             "--tiny" => scale = ReproScale::Tiny,
-            "--sequential" => sequential = true,
             "--verify" => verify = true,
             other => {
                 eprintln!("repro_all: unknown flag `{other}`");
@@ -67,46 +59,40 @@ fn main() -> ExitCode {
     }
 
     let outdir = Path::new("results");
-    let result = if sequential {
-        run_repro_sequential(scale, outdir)
-    } else {
-        let opts = RunOptions {
-            workers: args.workers(),
-            cache: match cache_for(outdir, args.use_cache) {
-                Ok(cache) => cache,
-                Err(e) => {
-                    eprintln!("repro_all: opening cache: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // Sweep/opt/regression jobs share one clean baseline per
-            // campaign config; with --cache the baselines persist next to
-            // the result cache, so warm re-runs skip them entirely.
-            baselines: Some(std::sync::Arc::new(if args.use_cache {
-                htpb_harness::BaselineCache::with_dir(outdir.join(".cache"))
-            } else {
-                htpb_harness::BaselineCache::in_memory()
-            })),
-            progress: true,
-            job_timeout: args.job_timeout(),
-            retries: args.retries,
-            retry_seed: args.retry_seed,
-            retry_base_ms: args.retry_base_ms,
-        };
-        run_repro(scale, outdir, &opts)
+    let opts = RunOptions {
+        workers: args.workers(),
+        cache: match cache_for(outdir, args.use_cache) {
+            Ok(cache) => cache,
+            Err(e) => {
+                eprintln!("repro_all: opening cache: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        // Sweep/opt/regression jobs share one clean baseline per campaign
+        // config; with --cache the baselines persist next to the result
+        // cache, so warm re-runs skip them entirely.
+        baselines: Some(std::sync::Arc::new(if args.use_cache {
+            htpb_harness::BaselineCache::with_dir(outdir.join(".cache"))
+        } else {
+            htpb_harness::BaselineCache::in_memory()
+        })),
+        progress: true,
+        job_timeout: args.job_timeout(),
+        retries: args.retries,
+        retry_seed: args.retry_seed,
+        retry_base_ms: args.retry_base_ms,
     };
+    let result = run_repro(scale, outdir, &opts);
     let run_ok = match result {
         Ok(outcome) if outcome.failed == 0 => {
-            if outcome.jobs > 0 {
-                eprintln!(
-                    "[harness] {} jobs, {} from cache",
-                    outcome.jobs, outcome.cache_hits
-                );
-                eprintln!(
-                    "[harness] baselines: {} shared, {} computed",
-                    outcome.baseline_hits, outcome.baseline_misses
-                );
-            }
+            eprintln!(
+                "[harness] {} jobs, {} from cache",
+                outcome.jobs, outcome.cache_hits
+            );
+            eprintln!(
+                "[harness] baselines: {} shared, {} computed",
+                outcome.baseline_hits, outcome.baseline_misses
+            );
             true
         }
         Ok(outcome) => {

@@ -1,78 +1,19 @@
-//! Shared helpers for the figure-regeneration binaries (`src/bin/fig*.rs`)
-//! and the Criterion microbenches (`benches/`).
+//! Shared helpers for the binaries (`src/bin/*.rs`) and the Criterion
+//! microbenches (`benches/`).
 //!
-//! Every binary regenerates one table or figure of the SOCC 2018 paper and
-//! prints the series in a `# label` / `x<TAB>y` format plus a human-readable
-//! summary of the shape checks (who wins, by what factor). Absolute numbers
-//! differ from the paper — the substrate is a simulator, not the authors'
-//! testbed — but the shapes are asserted.
+//! The paper's figures and tables are regenerated by one campaign,
+//! `repro_all`, which writes each section to `results/<artefact>.tsv`.
+//! The other binaries validate the substrate (`noc_loadlat`, `noc_perf`,
+//! `conformance`) or stress the campaign machinery (`resilience`,
+//! `chaos`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Instant;
-
-use htpb_harness::Journal;
-
-/// Prints a standard header for a figure binary.
+/// Prints a standard header for a validation binary.
 pub fn banner(figure: &str, what: &str) {
     println!("==========================================================");
     println!("  {figure} — {what}");
     println!("  (reproduction; expect paper-like shapes, not numbers)");
     println!("==========================================================");
-}
-
-/// Runs `f`, printing how long the regeneration took.
-pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    timed_stage(None, label, f)
-}
-
-/// Like [`timed`], but the stage's wall time also lands in the
-/// machine-readable run journal (as a `stage` event), so per-stage
-/// timings can be tracked across runs.
-pub fn timed_stage<T>(journal: Option<&Journal>, label: &str, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    let secs = start.elapsed().as_secs_f64();
-    println!("[{label}: {secs:.1}s]");
-    if let Some(journal) = journal {
-        journal.stage(label, secs);
-    }
-    out
-}
-
-/// Formats a ratio as a `+NN%` / `-NN%` string.
-#[must_use]
-pub fn pct(ratio: f64) -> String {
-    format!("{:+.0}%", ratio * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pct_formats_signed() {
-        assert_eq!(pct(0.3), "+30%");
-        assert_eq!(pct(-0.25), "-25%");
-        assert_eq!(pct(1.1), "+110%");
-    }
-
-    #[test]
-    fn timed_passes_value_through() {
-        assert_eq!(timed("t", || 42), 42);
-    }
-
-    #[test]
-    fn timed_stage_lands_in_journal() {
-        let path =
-            std::env::temp_dir().join(format!("htpb-bench-journal-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let journal = Journal::open(&path).unwrap();
-        assert_eq!(timed_stage(Some(&journal), "stage-x", || 7), 7);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"event\":\"stage\""), "{text}");
-        assert!(text.contains("\"stage-x\""), "{text}");
-        let _ = std::fs::remove_file(&path);
-    }
 }

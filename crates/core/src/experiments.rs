@@ -1,4 +1,6 @@
-//! Drivers for every experiment in the paper's evaluation (Section V).
+//! Drivers for every experiment in the paper's evaluation (Section V),
+//! one independent point per call: the harness jobs behind `repro_all`
+//! schedule them and assemble the figure artefacts.
 
 use htpb_attack::{
     sensitivity_phi, AttackOutcome, AttackSample, Mix, Placement, PlacementOptimizer,
@@ -9,8 +11,6 @@ use htpb_manycore::{AppRole, ManyCoreSystem, PerformanceReport, SystemBuilder};
 use htpb_noc::{Mesh2d, Network, NetworkConfig, NodeId, Packet, RoutingKind};
 use htpb_power::{AllocatorKind, DegradationCounters, DvfsTable, HardeningConfig};
 use htpb_trojan::{ActivationSchedule, BoostRule, TamperRule, TrojanFleet, TrojanMode};
-
-use crate::series::Series;
 
 /// Where the global manager sits — the locations compared in Fig. 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +160,8 @@ pub fn fig3_label(manager: ManagerLocation) -> &'static str {
 /// One data point of a Fig. 3 curve: the random-placement-averaged
 /// infection rate for `ht_count` Trojans. Points are independent of each
 /// other, so a job scheduler may compute them in any order or in parallel
-/// and still reassemble the exact sequential curve.
+/// and still reassemble the exact curve. The paper shows sizes 64 (HT
+/// count 0–30) and 512 (0–60).
 #[must_use]
 pub fn fig3_point(nodes: u32, manager: ManagerLocation, ht_count: usize, seeds: &[u64]) -> f64 {
     InfectionExperiment::new(nodes)
@@ -168,48 +169,11 @@ pub fn fig3_point(nodes: u32, manager: ManagerLocation, ht_count: usize, seeds: 
         .measure_random_avg(ht_count, seeds)
 }
 
-/// Fig. 3 — one curve of infection rate vs. number of (randomly placed)
-/// Trojans for a given manager location. The paper shows sizes 64 (HT count
-/// 0–30) and 512 (0–60).
-#[must_use]
-pub fn fig3_series(
-    nodes: u32,
-    manager: ManagerLocation,
-    ht_counts: &[usize],
-    seeds: &[u64],
-) -> Series {
-    let mut series = Series::new(fig3_label(manager));
-    for &m in ht_counts {
-        series.push(m as f64, fig3_point(nodes, manager, m, seeds));
-    }
-    series
-}
-
-/// Fig. 4 — one curve of infection rate vs. system size for a given HT
-/// distribution, with the Trojan count a fixed fraction `1/denominator` of
-/// the system size (the paper uses 1/16 and 1/8). Manager at the center.
-#[must_use]
-pub fn fig4_series(
-    sizes: &[u32],
-    strategy_label: &str,
-    strategy_for: impl Fn(u64) -> PlacementStrategy,
-    denominator: u32,
-    seeds: &[u64],
-) -> Series {
-    let mut series = Series::new(strategy_label);
-    for &nodes in sizes {
-        series.push(
-            f64::from(nodes),
-            fig4_point(nodes, &strategy_for, denominator, seeds),
-        );
-    }
-    series
-}
-
 /// One data point of a Fig. 4 curve: the infection rate on a chip of
 /// `nodes` nodes with `nodes / denominator` Trojans placed by
-/// `strategy_for` (seed-averaged for random strategies). Independent per
-/// point — see [`fig3_point`].
+/// `strategy_for` (seed-averaged for random strategies), manager at the
+/// center. The paper uses denominators 16 and 8. Independent per point —
+/// see [`fig3_point`].
 #[must_use]
 pub fn fig4_point(
     nodes: u32,
@@ -434,7 +398,8 @@ fn run_to_report(
 
 /// Runs the clean (Trojan-free) baseline for a campaign configuration —
 /// the Λ values of Definition 2. Expensive; reuse it across duty points and
-/// placements via [`run_campaign_with_baseline`].
+/// placements via [`run_campaign_with_baseline`] and the drivers built on
+/// it.
 #[must_use]
 pub fn run_clean_baseline(cfg: &CampaignConfig) -> PerformanceReport {
     let mut clean_sys = build_system(cfg, TrojanFleet::clean());
@@ -529,23 +494,12 @@ pub struct AttackSweepPoint {
     pub outcome: AttackOutcome,
 }
 
-/// One point of the Fig. 5 / Fig. 6 sweep, self-contained: computes its
-/// own clean baseline, so independent points can run in any order or in
-/// parallel. Because the baseline is deterministic in `cfg`, the result is
-/// bit-identical to the corresponding [`attack_sweep`] entry (which shares
-/// one baseline across the sweep as a sequential optimisation).
+/// One point of the Fig. 5 / Fig. 6 sweep against a caller-provided clean
+/// baseline. The baseline is a pure function of `cfg`, so a memoized copy
+/// (e.g. from a cross-job baseline cache) yields the bit-identical point,
+/// and independent points can run in any order or in parallel.
 #[must_use]
-pub fn attack_sweep_point(cfg: &CampaignConfig, duty: f64) -> AttackSweepPoint {
-    let clean = run_clean_baseline(cfg);
-    attack_sweep_point_with_baseline(cfg, duty, &clean)
-}
-
-/// Like [`attack_sweep_point`] but against a caller-provided clean
-/// baseline. Because the baseline is a pure function of `cfg`, substituting
-/// a memoized copy (e.g. from a cross-job baseline cache) yields the
-/// bit-identical point.
-#[must_use]
-pub fn attack_sweep_point_with_baseline(
+pub fn attack_sweep_point(
     cfg: &CampaignConfig,
     duty: f64,
     clean: &PerformanceReport,
@@ -557,18 +511,6 @@ pub fn attack_sweep_point_with_baseline(
         q_value: result.outcome.q_value,
         outcome: result.outcome,
     }
-}
-
-/// Sweeps the Trojan duty cycle and reports (infection rate, Q, per-app Θ)
-/// per point — the data behind Fig. 5 and Fig. 6. The clean baseline is
-/// computed once per call.
-#[must_use]
-pub fn attack_sweep(cfg: &CampaignConfig, duties: &[f64]) -> Vec<AttackSweepPoint> {
-    let clean = run_clean_baseline(cfg);
-    duties
-        .iter()
-        .map(|&duty| attack_sweep_point_with_baseline(cfg, duty, &clean))
-        .collect()
 }
 
 /// Result of the Section V-C placement comparison: the attack effect with
@@ -587,18 +529,12 @@ pub struct OptComparison {
 }
 
 /// Compares the optimized placement of `m` Trojans against random
-/// placements for one mix (Section V-C, second experiment).
+/// placements for one mix (Section V-C, second experiment), against a
+/// caller-provided clean baseline. Placement is not baseline-relevant (see
+/// [`CampaignConfig::baseline_id`]), so one report covers the optimized and
+/// every random variant.
 #[must_use]
-pub fn optimal_vs_random(cfg: &CampaignConfig, m: usize, random_seeds: &[u64]) -> OptComparison {
-    let clean = run_clean_baseline(cfg);
-    optimal_vs_random_with(cfg, m, random_seeds, &clean)
-}
-
-/// Like [`optimal_vs_random`] but against a caller-provided clean baseline.
-/// Placement is not baseline-relevant (see [`CampaignConfig::baseline_id`]),
-/// so one report covers the optimized and every random variant.
-#[must_use]
-pub fn optimal_vs_random_with(
+pub fn optimal_vs_random(
     cfg: &CampaignConfig,
     m: usize,
     random_seeds: &[u64],
@@ -676,23 +612,13 @@ pub fn regression_placements(mesh: Mesh2d, manager: NodeId) -> Vec<Placement> {
 /// variant, runs a full campaign at the paper's evaluation ceiling (0.9
 /// duty, matching Fig. 5's 0.9-infection axis) and records
 /// (ρ, η, m, ΣΦ_victims, ΣΦ_attackers, Q).
+///
+/// Each mix's clean baseline is resolved through `baseline_for` (e.g.
+/// [`run_clean_baseline`] or a cross-job memoization cache). The callback
+/// receives the per-mix configuration *before* any placement is attached,
+/// so its [`CampaignConfig::baseline_id`] is the shared one.
 #[must_use]
 pub fn regression_dataset(
-    base: &CampaignConfig,
-    mixes: &[Mix],
-    placements: &[Placement],
-) -> Vec<AttackSample> {
-    regression_dataset_with(base, mixes, placements, |cfg| {
-        std::sync::Arc::new(run_clean_baseline(cfg))
-    })
-}
-
-/// Like [`regression_dataset`] but resolving each mix's clean baseline
-/// through `baseline_for` (e.g. a cross-job memoization cache). The
-/// callback receives the per-mix configuration *before* any placement is
-/// attached, so its [`CampaignConfig::baseline_id`] is the shared one.
-#[must_use]
-pub fn regression_dataset_with(
     base: &CampaignConfig,
     mixes: &[Mix],
     placements: &[Placement],
@@ -888,6 +814,7 @@ pub fn resilience_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::Series;
 
     #[test]
     fn baseline_id_covers_baseline_fields_and_ignores_attack_knobs() {
@@ -943,47 +870,6 @@ mod tests {
             }),
         ] {
             assert_ne!(base.baseline_id(), cfg.baseline_id(), "{label}");
-        }
-    }
-
-    #[test]
-    fn shared_baseline_drivers_match_inline_baselines_bit_for_bit() {
-        use std::sync::Arc;
-        let cfg = CampaignConfig::tiny(Mix::Mix4);
-        let clean = run_clean_baseline(&cfg);
-
-        let inline_point = attack_sweep_point(&cfg, 0.5);
-        let shared_point = attack_sweep_point_with_baseline(&cfg, 0.5, &clean);
-        assert_eq!(
-            inline_point.infection.to_bits(),
-            shared_point.infection.to_bits()
-        );
-        assert_eq!(
-            inline_point.q_value.to_bits(),
-            shared_point.q_value.to_bits()
-        );
-
-        let inline_cmp = optimal_vs_random(&cfg, 3, &[1, 2]);
-        let shared_cmp = optimal_vs_random_with(&cfg, 3, &[1, 2], &clean);
-        assert_eq!(
-            inline_cmp.q_optimal.to_bits(),
-            shared_cmp.q_optimal.to_bits()
-        );
-        assert_eq!(inline_cmp.q_random.to_bits(), shared_cmp.q_random.to_bits());
-
-        let mesh = cfg.mesh();
-        let manager = cfg.manager.resolve(mesh);
-        let placements = regression_placements(mesh, manager);
-        let inline_samples = regression_dataset(&cfg, &[Mix::Mix4], &placements[..2]);
-        let mut calls = 0;
-        let shared_samples = regression_dataset_with(&cfg, &[Mix::Mix4], &placements[..2], |c| {
-            calls += 1;
-            Arc::new(run_clean_baseline(c))
-        });
-        assert_eq!(calls, 1, "one baseline per mix, shared across placements");
-        assert_eq!(inline_samples.len(), shared_samples.len());
-        for (a, b) in inline_samples.iter().zip(&shared_samples) {
-            assert_eq!(a.q.to_bits(), b.q.to_bits());
         }
     }
 
@@ -1052,8 +938,14 @@ mod tests {
     }
 
     #[test]
-    fn fig3_series_shape() {
-        let s = fig3_series(64, ManagerLocation::Center, &[0, 4, 16], &[1, 2]);
+    fn fig3_curve_shape() {
+        let mut s = Series::new(fig3_label(ManagerLocation::Center));
+        for m in [0, 4, 16] {
+            s.push(
+                m as f64,
+                fig3_point(64, ManagerLocation::Center, m, &[1, 2]),
+            );
+        }
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.points[0].1, 0.0);
         assert!(s.is_monotonic_nondecreasing());
@@ -1097,21 +989,8 @@ mod tests {
 
     #[test]
     fn fig4_center_beats_corner_distribution() {
-        let sizes = [64u32];
-        let center = fig4_series(
-            &sizes,
-            "HTs around the center",
-            |_| PlacementStrategy::CenterCluster,
-            16,
-            &[1],
-        );
-        let corner = fig4_series(
-            &sizes,
-            "HTs in one corner",
-            |_| PlacementStrategy::CornerCluster,
-            16,
-            &[1],
-        );
-        assert!(center.points[0].1 > corner.points[0].1);
+        let center = fig4_point(64, &|_| PlacementStrategy::CenterCluster, 16, &[1]);
+        let corner = fig4_point(64, &|_| PlacementStrategy::CornerCluster, 16, &[1]);
+        assert!(center > corner);
     }
 }

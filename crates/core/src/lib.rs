@@ -6,17 +6,23 @@
 //! ([`htpb_noc`]), the power-budgeting subsystem ([`htpb_power`]), the
 //! tiled many-core simulator ([`htpb_manycore`]), the hardware-Trojan model
 //! ([`htpb_trojan`]) and the attack metrics ([`htpb_attack`]) — into the
-//! experiments of the paper's evaluation (Section V):
+//! experiments of the paper's evaluation (Section V). Each driver computes
+//! one independent point; the `htpb-harness` jobs behind `repro_all` fan
+//! them out and assemble each section into `results/<artefact>.tsv`:
 //!
-//! | Paper artefact | API |
-//! |---|---|
-//! | Fig. 3 (infection vs. #HTs, manager location)   | [`experiments::fig3_series`] |
-//! | Fig. 4 (infection vs. HT distribution)          | [`experiments::fig4_series`] |
-//! | Fig. 5 (Q vs. infection rate per mix)           | [`experiments::attack_sweep`] |
-//! | Fig. 6 (per-app Θ vs. infection rate)           | [`experiments::attack_sweep`] |
-//! | Section V-C optimal-vs-random placement         | [`experiments::optimal_vs_random`] |
-//! | Eq. 9 regression                                | [`experiments::regression_dataset`] |
-//! | Section III-D area/power                        | re-exported [`htpb_trojan::area`] |
+//! | Paper artefact | API | Artefact |
+//! |---|---|---|
+//! | Fig. 3 (infection vs. #HTs, manager location)   | [`experiments::fig3_point`] | `fig3_<nodes>.tsv` |
+//! | Fig. 4 (infection vs. HT distribution)          | [`experiments::fig4_point`] | `fig4_n<16,8>.tsv` |
+//! | Fig. 5 (Q vs. infection rate per mix)           | [`experiments::attack_sweep_point`] | `fig5_<mix>.tsv` |
+//! | Fig. 6 (per-app Θ vs. infection rate)           | [`experiments::attack_sweep_point`] | `fig6_<mix>.tsv` |
+//! | Section V-C optimal-vs-random placement         | [`experiments::optimal_vs_random`] | `opt_placement.tsv` |
+//! | Eq. 9 regression                                | [`experiments::regression_dataset`] | `regression.tsv` |
+//! | Section III-D area/power                        | re-exported [`htpb_trojan::area`] | `table_area.tsv` |
+//!
+//! The campaign drivers take the clean baseline ([`run_clean_baseline`])
+//! as an argument, so one baseline serves every duty point and placement
+//! of a configuration.
 //!
 //! The crate re-exports the most-used types of every layer so downstream
 //! code can depend on `htpb_core` alone.
@@ -38,11 +44,11 @@ pub mod platform;
 mod series;
 
 pub use experiments::{
-    attack_sweep, attack_sweep_point, fig3_label, fig3_point, fig3_series, fig4_point, fig4_series,
-    optimal_vs_random, regression_dataset, regression_placements, resilience_point, run_campaign,
-    run_campaign_with_baseline, run_clean_baseline, run_resilient_campaign, AttackSweepPoint,
-    CampaignConfig, CampaignResult, InfectionExperiment, ManagerLocation, OptComparison,
-    ResilienceConfig, ResiliencePoint, ResilienceResult,
+    attack_sweep_point, fig3_label, fig3_point, fig4_point, optimal_vs_random, regression_dataset,
+    regression_placements, resilience_point, run_campaign, run_campaign_with_baseline,
+    run_clean_baseline, run_resilient_campaign, AttackSweepPoint, CampaignConfig, CampaignResult,
+    InfectionExperiment, ManagerLocation, OptComparison, ResilienceConfig, ResiliencePoint,
+    ResilienceResult,
 };
 pub use platform::{describe_benchmarks, describe_mixes, describe_platform};
 pub use series::Series;

@@ -1,10 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// A labelled (x, y) data series — one line of a paper figure.
-///
-/// Serialisable so bench harnesses can dump figure data as JSON, and
-/// printable as aligned text columns for terminal output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. "GM in the center").
     pub label: String,
@@ -40,7 +35,7 @@ impl Series {
     }
 
     /// Renders the series as `x<TAB>y` lines, prefixed by a `# label`
-    /// comment — the format the bench binaries print.
+    /// comment — the format of the `results/*.tsv` figure artefacts.
     #[must_use]
     pub fn to_table(&self) -> String {
         let mut s = format!("# {}\n", self.label);

@@ -3,10 +3,8 @@
 //! The duty-cycle sweep, the optimal-vs-random placement comparison and the
 //! regression dataset all need the *same* clean baseline per campaign
 //! configuration: the attack side varies per job, the clean side does not.
-//! Run sequentially, those drivers naturally compute each baseline once; cut
-//! into per-point jobs for the worker pool, every job used to recompute it.
-//! On the `--quick` scale that is 40+ redundant clean campaigns — the whole
-//! measured gap between `--jobs 1` and the legacy sequential path.
+//! Cut into per-point jobs for the worker pool, every job would recompute
+//! it: on the `--quick` scale that is 40+ redundant clean campaigns.
 //!
 //! [`BaselineCache`] closes the gap with two layers keyed by
 //! [`CampaignConfig::baseline_id`] (which covers exactly the

@@ -187,8 +187,8 @@ impl Journal {
         self.record("job_done", fields);
     }
 
-    /// Records a named pipeline stage's wall time (used by
-    /// `htpb_bench::timed_stage`).
+    /// Records a named pipeline stage's wall time (e.g. the `assemble`
+    /// step of a campaign).
     pub fn stage(&self, label: &str, secs: f64) {
         self.record(
             "stage",

@@ -2,13 +2,14 @@
 //! for the SOCC 2018 hardware-Trojan power-budgeting reproduction.
 //!
 //! The crate turns the experiment drivers of `htpb_core::experiments` into
-//! first-class, schedulable **jobs**:
+//! first-class, schedulable **jobs**, and is the only path that computes
+//! a paper artefact:
 //!
 //! - [`JobSpec`] / [`JobOutput`] — one experiment point as a pure function
 //!   of its parameters and seeds ([`job`]);
 //! - [`run_jobs`] — a fixed-size worker pool with per-job
-//!   `catch_unwind` isolation; results return in job order, so parallel
-//!   campaigns are byte-identical to sequential ones ([`runner`]);
+//!   `catch_unwind` isolation; results return in job order, so campaigns
+//!   are byte-identical at any worker count ([`runner`]);
 //! - [`ResultCache`] — a content-addressed on-disk cache under
 //!   `<outdir>/.cache/`; re-runs skip completed points and interrupted
 //!   campaigns resume ([`cache`]);
@@ -25,9 +26,8 @@
 //! - [`Campaign`] — crash-safe campaign lifecycle: journal-driven
 //!   recovery of interrupted jobs, checkpointed resume, durable artefact
 //!   emission and post-run verification ([`campaign`]);
-//! - [`run_repro`] / [`run_repro_sequential`] — the whole `repro_all`
-//!   campaign planned as jobs, plus the legacy sequential reference path
-//!   ([`repro`]);
+//! - [`run_repro`] — the whole `repro_all` campaign planned as jobs and
+//!   assembled into the `results/*.tsv` artefacts ([`repro`]);
 //! - [`run_resilience_sweep`] — the fault-injection campaign: attack
 //!   effect and graceful degradation across *fault rate × allocator ×
 //!   hardening* ([`resilience`]);
@@ -64,8 +64,6 @@ pub use cli::HarnessArgs;
 pub use fs::{commit_append, commit_file, std_fs, FaultyFs, Fs, FsFault, StdFs};
 pub use job::{CampaignScale, Fig4Strategy, JobOutput, JobSpec};
 pub use journal::{Journal, StageTally};
-pub use repro::{
-    cache_for, ensure_outdir, run_repro, run_repro_sequential, ReproOutcome, ReproPlan, ReproScale,
-};
+pub use repro::{cache_for, ensure_outdir, run_repro, ReproOutcome, ReproPlan, ReproScale};
 pub use resilience::{run_resilience_plan, run_resilience_sweep, ResiliencePlan};
 pub use runner::{retry_delay_ms, run_jobs, JobReport, RunOptions};

@@ -2,11 +2,11 @@
 //!
 //! [`ReproPlan::plan`] enumerates every figure/table of the paper as
 //! independent [`JobSpec`]s; [`run_repro`] executes them on the worker pool
-//! (cached, journalled, resumable) and [`run_repro_sequential`] computes the
-//! same artefacts through the legacy whole-series drivers. Both paths feed
-//! one shared emission routine, and every job is a pure function of its
-//! spec, so the two produce **byte-identical** TSVs and `SUMMARY.txt` — the
-//! property `integration_harness.rs` locks in.
+//! (cached, journalled, resumable) and assembles the results into the TSVs
+//! and `SUMMARY.txt`. This is the only path that computes a paper artefact.
+//! Every job is a pure function of its spec, so the artefacts are
+//! **byte-identical** at any worker count and across resumes — the property
+//! `integration_harness.rs` locks in, against pinned digests.
 
 use std::fmt::Write as _;
 use std::io;
@@ -14,10 +14,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use htpb_attack::{AttackModel, AttackSample, Mix};
-use htpb_core::experiments::{
-    attack_sweep, fig3_label, fig3_series, fig4_series, optimal_vs_random, regression_dataset,
-    regression_placements, ManagerLocation,
-};
+use htpb_core::experiments::{fig3_label, ManagerLocation};
 use htpb_core::Series;
 use htpb_trojan::AreaReport;
 
@@ -181,7 +178,7 @@ struct OptPanel {
 }
 
 /// The job list for a full reproduction, plus the bookkeeping needed to
-/// reassemble the sequential artefacts from per-job results.
+/// reassemble the artefacts from per-job results.
 pub struct ReproPlan {
     /// Scale the plan was built for.
     pub scale: ReproScale,
@@ -307,7 +304,7 @@ impl ReproPlan {
         }
     }
 
-    /// Reassembles the sequential artefacts from per-job reports. `Err`
+    /// Reassembles the artefacts from per-job reports. `Err`
     /// lists the ids of failed jobs (the campaign still ran to completion;
     /// the artefacts just cannot be emitted with holes in them).
     fn assemble(&self, reports: &[JobReport]) -> Result<Artefacts, Vec<String>> {
@@ -446,10 +443,9 @@ struct OptRow {
     improvement: f64,
 }
 
-/// Every number a reproduction produces, independent of how it was
-/// computed. Both the harness and the sequential path build this, then one
-/// shared emitter turns it into TSVs + SUMMARY — equal artefacts follow
-/// from equal numbers.
+/// Every number a reproduction produces, reassembled from the job
+/// results; [`emit`] turns it into TSVs + SUMMARY, so equal artefacts
+/// follow from equal numbers.
 struct Artefacts {
     fig3: Vec<(u32, Series, Series)>,
     fig4: Vec<(u32, Vec<Series>)>,
@@ -463,7 +459,7 @@ struct Artefacts {
 pub struct ReproOutcome {
     /// The shape-check summary (also written to `SUMMARY.txt`).
     pub summary: String,
-    /// Total jobs in the plan (0 for the sequential path).
+    /// Total jobs in the plan.
     pub jobs: usize,
     /// Jobs served from the cache.
     pub cache_hits: usize,
@@ -547,146 +543,7 @@ pub fn run_repro(scale: ReproScale, outdir: &Path, opts: &RunOptions) -> io::Res
     })
 }
 
-/// Runs the full reproduction through the legacy sequential drivers
-/// (whole series at a time, shared clean baselines, no cache). The
-/// reference implementation the harness path is byte-compared against.
-pub fn run_repro_sequential(scale: ReproScale, outdir: &Path) -> io::Result<ReproOutcome> {
-    let opts = RunOptions::sequential();
-    let campaign = Campaign::start(
-        "repro_all_sequential",
-        outdir,
-        &[],
-        &opts,
-        std_fs(),
-        vec![("scale", Value::Str(scale.label().into()))],
-    )?;
-    let staged = |label: &str, f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        f();
-        let secs = t0.elapsed().as_secs_f64();
-        println!("[{label}: {secs:.1}s]");
-        campaign.stage(label, secs);
-    };
-
-    let seeds = scale.fig34_seeds();
-    let mut fig3 = Vec::new();
-    for nodes in scale.fig3_sizes() {
-        let counts = scale.fig3_counts(nodes);
-        staged(&format!("fig3 ({nodes} nodes)"), &mut || {
-            fig3.push((
-                nodes,
-                fig3_series(nodes, ManagerLocation::Center, &counts, &seeds),
-                fig3_series(nodes, ManagerLocation::Corner, &counts, &seeds),
-            ));
-        });
-    }
-
-    let sizes = scale.fig4_sizes();
-    let mut fig4 = Vec::new();
-    for denominator in [16u32, 8] {
-        staged(&format!("fig4 (N/{denominator})"), &mut || {
-            let curves = [
-                Fig4Strategy::Center,
-                Fig4Strategy::Random,
-                Fig4Strategy::Corner,
-            ]
-            .iter()
-            .map(|s| {
-                fig4_series(
-                    &sizes,
-                    s.label(),
-                    |seed| s.strategy_for()(seed),
-                    denominator,
-                    &seeds,
-                )
-            })
-            .collect();
-            fig4.push((denominator, curves));
-        });
-    }
-
-    let campaign_scale = scale.campaign_scale();
-    let duties: Vec<f64> = scale
-        .duty_tenths()
-        .iter()
-        .map(|&t| f64::from(t) / 10.0)
-        .collect();
-    let mut fig5 = Vec::new();
-    for mix in scale.sweep_mixes() {
-        staged(&format!("fig5/6 {}", mix.name()), &mut || {
-            let cfg = campaign_scale.config(mix);
-            let points = attack_sweep(&cfg, &duties);
-            let mut q_series = Series::new(mix.name());
-            let napps = points[0].outcome.changes.len();
-            let mut theta: Vec<Series> = (0..napps)
-                .map(|i| Series::new(format!("{} app{i}", mix.name())))
-                .collect();
-            for p in &points {
-                q_series.push(p.infection, p.q_value);
-                for (i, (_, _, c)) in p.outcome.changes.iter().enumerate() {
-                    theta[i].push(p.infection, *c);
-                }
-            }
-            fig5.push((mix, q_series, theta));
-        });
-    }
-
-    let mut opt = Vec::new();
-    for mix in scale.opt_mixes() {
-        staged(&format!("opt {}", mix.name()), &mut || {
-            let cmp = optimal_vs_random(
-                &campaign_scale.config(mix),
-                scale.opt_m(),
-                &scale.opt_seeds(),
-            );
-            opt.push((
-                mix,
-                OptRow {
-                    q_optimal: cmp.q_optimal,
-                    q_random: cmp.q_random,
-                    improvement: cmp.improvement,
-                },
-            ));
-        });
-    }
-
-    let mut samples = Vec::new();
-    staged("regression dataset", &mut || {
-        let mut base = scale.reg_campaign_scale().config(Mix::Mix1);
-        base.nodes = scale.reg_nodes();
-        let mesh = base.mesh();
-        let manager = base.manager.resolve(mesh);
-        let placements = regression_placements(mesh, manager);
-        samples = regression_dataset(&base, &scale.reg_mixes(), &placements);
-    });
-
-    let artefacts = Artefacts {
-        fig3,
-        fig4,
-        fig5,
-        opt,
-        samples,
-    };
-    let summary = emit(&artefacts, scale, &campaign)?;
-    if htpb_obs::enabled() {
-        campaign.emit_metrics()?;
-    }
-    campaign.finish(
-        true,
-        vec![("failed", Value::Int(0)), ("cache_hits", Value::Int(0))],
-    );
-    Ok(ReproOutcome {
-        summary,
-        jobs: 0,
-        cache_hits: 0,
-        baseline_hits: 0,
-        baseline_misses: 0,
-        failed: 0,
-    })
-}
-
-/// Writes every artefact file and returns the summary text. This is the
-/// single emission path both reproduction modes share, preserving the
+/// Writes every artefact file and returns the summary text, preserving the
 /// historical `repro_all` output format line for line. All files go out
 /// through [`Campaign::emit_artefact`]: durably committed and journalled
 /// with their digests.

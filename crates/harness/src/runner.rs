@@ -4,8 +4,8 @@
 //! workers claim the next unclaimed job, execute it (or serve it from the
 //! cache) and write the report into that job's slot. Results are returned
 //! **in job order**, regardless of which worker finished when — combined
-//! with per-job determinism this makes parallel campaigns byte-identical
-//! to sequential ones.
+//! with per-job determinism this makes campaigns byte-identical at any
+//! worker count.
 //!
 //! Each job runs under [`std::panic::catch_unwind`], so one panicking
 //! scenario records a failure and the rest of the campaign continues.
@@ -491,7 +491,8 @@ mod tests {
     fn baseline_cache_keeps_outputs_identical_and_journals_use() {
         use crate::job::CampaignScale;
         use htpb_attack::Mix;
-        let jobs: Vec<JobSpec> = [0u32, 3, 6]
+        // Every kind that resolves a clean baseline, all on one config.
+        let mut jobs: Vec<JobSpec> = [0u32, 3, 6]
             .iter()
             .map(|&duty_tenths| JobSpec::SweepPoint {
                 mix: Mix::Mix1,
@@ -499,6 +500,17 @@ mod tests {
                 duty_tenths,
             })
             .collect();
+        jobs.push(JobSpec::OptCompare {
+            mix: Mix::Mix1,
+            scale: CampaignScale::Tiny,
+            m: 3,
+            seeds: vec![1],
+        });
+        jobs.push(JobSpec::RegressionMix {
+            mix: Mix::Mix1,
+            scale: CampaignScale::Tiny,
+            nodes: 32,
+        });
         let plain = run_jobs(&jobs, &RunOptions::sequential(), &Journal::disabled());
         let journal_path =
             std::env::temp_dir().join(format!("htpb-runner-baseline-{}.jsonl", std::process::id()));
@@ -517,14 +529,14 @@ mod tests {
             // Memoized baselines are bit-identical to inline ones.
             assert_eq!(a.output.as_ref().unwrap(), b.output.as_ref().unwrap());
             assert_eq!(a.baseline, None, "no cache configured, nothing to report");
-            assert!(b.baseline.is_some(), "sweep jobs report baseline use");
+            assert!(b.baseline.is_some(), "{} reports baseline use", b.spec.id());
         }
-        // All three duty points share one config: one computation, two hits.
+        // All five jobs share one config: one computation, four hits.
         assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.hits(), 4);
         let text = std::fs::read_to_string(&journal_path).unwrap();
         assert_eq!(text.matches("\"event\":\"baseline_miss\"").count(), 1);
-        assert_eq!(text.matches("\"event\":\"baseline_hit\"").count(), 2);
+        assert_eq!(text.matches("\"event\":\"baseline_hit\"").count(), 4);
         let _ = std::fs::remove_file(&journal_path);
     }
 

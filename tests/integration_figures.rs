@@ -1,9 +1,13 @@
 //! Shape tests for every reproduced figure/table, at test-friendly scale.
-//! The full-scale regenerations live in `crates/bench/src/bin/`.
+//! The full-scale regeneration is `repro_all`, which writes each section
+//! to `results/<artefact>.tsv`.
+
+use std::sync::Arc;
 
 use htpb_core::{
-    attack_sweep, fig3_series, fig4_series, optimal_vs_random, regression_dataset, AreaReport,
-    AttackModel, CampaignConfig, ManagerLocation, Mesh2d, Mix, Placement, PlacementStrategy,
+    attack_sweep_point, fig3_label, fig3_point, fig4_point, optimal_vs_random, regression_dataset,
+    run_clean_baseline, AreaReport, AttackModel, CampaignConfig, ManagerLocation, Mesh2d, Mix,
+    Placement, PlacementStrategy, Series,
 };
 
 #[test]
@@ -13,8 +17,15 @@ fn fig3_shape_monotonic_and_corner_dominates() {
     // individual random placements), so average over a seed window whose
     // per-count margins are comfortably positive.
     let seeds: Vec<u64> = (12..20).collect();
-    let center = fig3_series(64, ManagerLocation::Center, &counts, &seeds);
-    let corner = fig3_series(64, ManagerLocation::Corner, &counts, &seeds);
+    let curve = |manager| {
+        let mut s = Series::new(fig3_label(manager));
+        for &m in &counts {
+            s.push(m as f64, fig3_point(64, manager, m, &seeds));
+        }
+        s
+    };
+    let center = curve(ManagerLocation::Center);
+    let corner = curve(ManagerLocation::Corner);
     assert!(center.is_monotonic_nondecreasing());
     assert!(corner.is_monotonic_nondecreasing());
     // Beyond ~8 HTs the corner curve dominates (paper: >20% beyond 10 HTs).
@@ -29,29 +40,17 @@ fn fig3_shape_monotonic_and_corner_dominates() {
 fn fig4_shape_distribution_ordering() {
     let sizes = [64u32, 128];
     let seeds = [1u64, 2, 3];
-    let center = fig4_series(
-        &sizes,
-        "center",
-        |_| PlacementStrategy::CenterCluster,
-        16,
-        &seeds,
-    );
-    let random = fig4_series(
-        &sizes,
-        "random",
-        |seed| PlacementStrategy::Random { seed },
-        16,
-        &seeds,
-    );
-    let corner = fig4_series(
-        &sizes,
-        "corner",
-        |_| PlacementStrategy::CornerCluster,
-        16,
-        &seeds,
-    );
+    let curve = |strategy_for: &dyn Fn(u64) -> PlacementStrategy| -> Vec<f64> {
+        sizes
+            .iter()
+            .map(|&nodes| fig4_point(nodes, &strategy_for, 16, &seeds))
+            .collect()
+    };
+    let center = curve(&|_| PlacementStrategy::CenterCluster);
+    let random = curve(&|seed| PlacementStrategy::Random { seed });
+    let corner = curve(&|_| PlacementStrategy::CornerCluster);
     for (i, &size) in sizes.iter().enumerate() {
-        let (c, r, k) = (center.points[i].1, random.points[i].1, corner.points[i].1);
+        let (c, r, k) = (center[i], random[i], corner[i]);
         assert!(c >= r, "size {size}: center {c} < random {r}");
         assert!(r >= k, "size {size}: random {r} < corner {k}");
         assert!(c / k.max(1e-9) > 2.0, "center should dwarf corner");
@@ -61,7 +60,11 @@ fn fig4_shape_distribution_ordering() {
 #[test]
 fn fig5_shape_q_rises_with_infection() {
     let cfg = CampaignConfig::small(Mix::Mix4);
-    let points = attack_sweep(&cfg, &[0.0, 0.5, 0.9]);
+    let clean = run_clean_baseline(&cfg);
+    let points: Vec<_> = [0.0, 0.5, 0.9]
+        .iter()
+        .map(|&duty| attack_sweep_point(&cfg, duty, &clean))
+        .collect();
     assert_eq!(points.len(), 3);
     assert!((points[0].q_value - 1.0).abs() < 1e-6);
     assert!(points[1].q_value > points[0].q_value);
@@ -77,8 +80,7 @@ fn fig5_shape_q_rises_with_infection() {
 #[test]
 fn fig6_shape_attackers_up_victims_down() {
     let cfg = CampaignConfig::small(Mix::Mix1);
-    let points = attack_sweep(&cfg, &[0.5]);
-    let p = &points[0];
+    let p = attack_sweep_point(&cfg, 0.5, &run_clean_baseline(&cfg));
     // Paper call-outs at infection 0.5: attackers up to ~1.2x, victims
     // around 0.6x.
     let gain = p.outcome.max_attacker_gain();
@@ -90,7 +92,7 @@ fn fig6_shape_attackers_up_victims_down() {
 #[test]
 fn section5c_optimal_beats_random() {
     let cfg = CampaignConfig::small(Mix::Mix1);
-    let cmp = optimal_vs_random(&cfg, 8, &[7, 8]);
+    let cmp = optimal_vs_random(&cfg, 8, &[7, 8], &run_clean_baseline(&cfg));
     assert!(
         cmp.improvement > 0.0,
         "optimal {} <= random {}",
@@ -131,7 +133,9 @@ fn eq9_regression_fits_with_expected_signs() {
             ));
         }
     }
-    let samples = regression_dataset(&base, &[Mix::Mix1, Mix::Mix3], &placements);
+    let samples = regression_dataset(&base, &[Mix::Mix1, Mix::Mix3], &placements, |cfg| {
+        Arc::new(run_clean_baseline(cfg))
+    });
     assert_eq!(samples.len(), 12);
     let model = AttackModel::fit(&samples).expect("fit");
     // Sign checks from Section IV-B: distance hurts, Trojan count helps.

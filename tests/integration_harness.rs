@@ -1,15 +1,37 @@
 //! End-to-end tests of the `htpb-harness` orchestration subsystem: the
-//! parallel, cached reproduction must be **byte-identical** to the legacy
-//! sequential drivers, interrupted runs must resume from the cache, and a
-//! panicking job must not take the campaign down.
+//! reproduction must be **byte-identical** at any worker count and match
+//! pinned artefact digests, interrupted runs must resume from the cache,
+//! and a panicking job must not take the campaign down.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use htpb_harness::hash::fnv1a64;
 use htpb_harness::{
-    run_jobs, run_repro, run_repro_sequential, JobSpec, Journal, ReproPlan, ReproScale,
-    ResultCache, RunOptions,
+    run_jobs, run_repro, JobSpec, Journal, ReproOutcome, ReproPlan, ReproScale, ResultCache,
+    RunOptions,
 };
+
+/// FNV-1a digests of every artefact a cold `run_repro(ReproScale::Tiny)`
+/// commits. They were recorded when the job path became the only
+/// campaign path: the retired sequential whole-series drivers, `--jobs 1`
+/// and `--jobs 2` all produced these exact bytes. Every digest but
+/// `plot.gp` also equals the `repro-tiny` rows of `perfbench/manifest.tsv`.
+/// A change that moves any of them changes a paper artefact.
+const TINY_DIGESTS: [(&str, u64); 12] = [
+    ("SUMMARY.txt", 0x5bb3_2576_fdab_68a1),
+    ("fig3_16.tsv", 0x8e41_d9f3_6d1f_e268),
+    ("fig4_n16.tsv", 0xa6e0_4627_a6ff_1ab4),
+    ("fig4_n8.tsv", 0x33cb_b272_4fe4_2b87),
+    ("fig5_mix-1.tsv", 0x3132_28b3_501a_b60d),
+    ("fig5_mix-4.tsv", 0xaa99_3ed5_e8f5_d1a9),
+    ("fig6_mix-1.tsv", 0xeee5_c2eb_c35d_4213),
+    ("fig6_mix-4.tsv", 0x5efe_103f_4b44_051a),
+    ("opt_placement.tsv", 0x2324_f64a_bbce_2507),
+    ("plot.gp", 0x0db7_8ce8_368f_84c8),
+    ("regression.tsv", 0xa7f3_cecf_709b_d51b),
+    ("table_area.tsv", 0x0431_8502_8b44_8874),
+];
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("htpb-harness-it-{tag}-{}", std::process::id()));
@@ -28,35 +50,20 @@ fn artefact_files(dir: &Path) -> Vec<String> {
     names
 }
 
-#[test]
-fn parallel_cached_repro_is_byte_identical_to_sequential() {
-    let seq_dir = tmpdir("seq");
-    let par_dir = tmpdir("par");
-
-    run_repro_sequential(ReproScale::Tiny, &seq_dir).expect("sequential repro");
+/// A cold tiny reproduction on `workers` threads with a fresh result
+/// cache, asserting it ran every job and journalled each one.
+fn cold_tiny_repro(dir: &Path, workers: usize) -> ReproOutcome {
     let opts = RunOptions {
-        workers: 4,
-        cache: Some(ResultCache::for_outdir(&par_dir).unwrap()),
+        workers,
+        cache: Some(ResultCache::for_outdir(dir).unwrap()),
         ..RunOptions::sequential()
     };
-    let outcome = run_repro(ReproScale::Tiny, &par_dir, &opts).expect("harness repro");
+    let outcome = run_repro(ReproScale::Tiny, dir, &opts).expect("harness repro");
     assert_eq!(outcome.failed, 0);
     assert_eq!(outcome.cache_hits, 0, "cold cache");
 
-    let names = artefact_files(&seq_dir);
-    assert!(
-        names.iter().any(|n| n.starts_with("fig3_")),
-        "artefacts missing: {names:?}"
-    );
-    assert_eq!(names, artefact_files(&par_dir), "artefact sets differ");
-    for name in &names {
-        let a = fs::read(seq_dir.join(name)).unwrap();
-        let b = fs::read(par_dir.join(name)).unwrap();
-        assert_eq!(a, b, "{name} differs between sequential and parallel runs");
-    }
-
     // The journal recorded every job plus run bookkeeping.
-    let journal = fs::read_to_string(par_dir.join("journal.jsonl")).unwrap();
+    let journal = fs::read_to_string(dir.join("journal.jsonl")).unwrap();
     let job_lines = journal
         .lines()
         .filter(|l| l.contains("\"event\":\"job_done\""))
@@ -64,9 +71,48 @@ fn parallel_cached_repro_is_byte_identical_to_sequential() {
     assert_eq!(job_lines, outcome.jobs);
     assert!(journal.contains("\"event\":\"run_start\""));
     assert!(journal.contains("\"event\":\"run_end\""));
+    outcome
+}
 
-    let _ = fs::remove_dir_all(&seq_dir);
-    let _ = fs::remove_dir_all(&par_dir);
+#[test]
+fn repro_is_byte_identical_across_worker_counts() {
+    let one_dir = tmpdir("w1");
+    let four_dir = tmpdir("w4");
+    cold_tiny_repro(&one_dir, 1);
+    cold_tiny_repro(&four_dir, 4);
+
+    let names = artefact_files(&one_dir);
+    assert!(
+        names.iter().any(|n| n.starts_with("fig3_")),
+        "artefacts missing: {names:?}"
+    );
+    assert_eq!(names, artefact_files(&four_dir), "artefact sets differ");
+    for name in &names {
+        let a = fs::read(one_dir.join(name)).unwrap();
+        let b = fs::read(four_dir.join(name)).unwrap();
+        assert_eq!(a, b, "{name} differs between 1 and 4 workers");
+    }
+
+    let _ = fs::remove_dir_all(&one_dir);
+    let _ = fs::remove_dir_all(&four_dir);
+}
+
+#[test]
+fn tiny_artefacts_match_pinned_digests() {
+    let dir = tmpdir("digests");
+    cold_tiny_repro(&dir, 2);
+
+    let pinned: Vec<&str> = TINY_DIGESTS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(artefact_files(&dir), pinned, "artefact set changed");
+    for (name, digest) in TINY_DIGESTS {
+        let got = fnv1a64(&fs::read(dir.join(name)).unwrap());
+        assert_eq!(
+            got, digest,
+            "{name}: digest {got:016x}, pinned {digest:016x}"
+        );
+    }
+
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
